@@ -8,6 +8,7 @@ score, evaluate, rag-fraction, optimize-prompt.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     Scheme,
+    collapse_label,
     parse_jsonl,
     parse_semeval_xml,
     validate_corpus,
@@ -28,16 +30,15 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     format_report_table,
-    grade_responses,
-    rag_fraction_experiment,
     resolve_embedder,
     run_scenario,
+    seed_grader,
 )
 from .losses import LossKind
 from .metrics import MetricsError
 from .optimize import OptimizerConfig, OptimizerError, PromptEvaluator, optimize
 from .pairs import Scope, Strategy, build_training_sets, write_pairs_jsonl, write_triplets_jsonl
-from .prompts import PromptError, load_template, scheme_task
+from .prompts import PromptError
 from .training import TrainConfig, TrainingError, train_for_corpus
 from .vstore import StoreError, VectorStore, build_store
 
@@ -115,6 +116,7 @@ def _experiment_config(args) -> ExperimentConfig:
         "seeds": list(_parse_seeds(args.seeds)) if args.seeds else None,
         "embed_dim": args.dim,
         "train_adapter": args.train,
+        "rag_fraction": getattr(args, "fraction", None),
     }
     merged = config.manifest()
     merged.update({key: value for key, value in overrides.items() if value is not None})
@@ -275,7 +277,7 @@ def _cmd_build_vdb(args) -> int:
     corpus = _load_corpus(args.corpus)
     base = HashEmbedder(args.dim)
     adapters = _load_adapters(args.adapter)
-    embedder = resolve_embedder(ExperimentConfig(embed_dim=args.dim), base, adapters)
+    embedder = resolve_embedder(base, adapters)
     store = build_store(
         list(corpus.split("train")),
         embedder,
@@ -288,66 +290,33 @@ def _cmd_build_vdb(args) -> int:
     return EXIT_OK
 
 
-def _run_eval_like(args, fraction: float | None):
-    corpus = _load_corpus(args.corpus)
-    config = _experiment_config(args)
+def _run_eval_like(args, corpus: Corpus, config: ExperimentConfig):
     adapters = _load_adapters(args.adapter)
     store = VectorStore.load(args.store) if args.store else None
-    if fraction is None:
-        return run_scenario(corpus, args.scenario, config, adapters=adapters, store=store)
-    return rag_fraction_experiment(
-        corpus, args.scenario, fraction, config, adapters=adapters, store=store
-    )
+    return run_scenario(corpus, args.scenario, config, adapters=adapters, store=store)
 
 
 def _cmd_score(args) -> int:
     corpus = _load_corpus(args.corpus)
     config = _experiment_config(args)
-    adapters = _load_adapters(args.adapter)
-    base = HashEmbedder(config.embed_dim)
-    embedder = resolve_embedder(config, base, adapters)
-    responses = list(corpus.split(args.scenario))
-    if not responses:
-        raise HarnessError(f"corpus has no {args.scenario} split")
-    with_examples = args.scenario == "ua"
-    store = None
-    if args.store:
-        store = VectorStore.load(args.store)
-    elif with_examples:
-        store = build_store(list(corpus.split("train")), embedder, corpus.questions)
-    template = load_template(
-        scheme_task(config.scheme),
-        "with_examples" if with_examples else "without_examples",
-        config.template_style,
-    )
-    outcome = grade_responses(
-        responses,
-        corpus.questions,
-        config.scheme,
-        template,
-        make_backend(config.backend),
-        embedder=embedder,
-        store=store,
-        k=config.k,
-        same_question_only=with_examples,
-        params=config.gen_params(),
-        fallback_label=config.resolved_fallback(),
-    )
+    first_seed = dataclasses.replace(config, seeds=config.seeds[:1])
+    run = _run_eval_like(args, corpus, first_seed).per_run[0]
+    gold = {r.id: collapse_label(r.label, config.scheme) for r in corpus.split(args.scenario)}
     lines = [
-        json.dumps({"id": r.id, "gold": g, "predicted": p}, ensure_ascii=False)
-        for r, g, p in zip(responses, outcome.gold, outcome.predictions)
+        json.dumps({"id": rid, "gold": gold[rid], "predicted": p}, ensure_ascii=False)
+        for rid, p in zip(run["response_ids"], run["predictions"])
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    print(f"scored {len(responses)} responses, {outcome.parse_failures} parse failures", file=sys.stderr)
+    print(f"scored {len(lines)} responses, {run['parse_failures']} parse failures", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    report = _run_eval_like(args, fraction=None)
+    report = _run_eval_like(args, _load_corpus(args.corpus), _experiment_config(args))
     if args.out:
         report.write_json(args.out)
     print(format_report_table([report]))
@@ -356,48 +325,42 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rag_fraction(args) -> int:
-    report = _run_eval_like(args, fraction=args.fraction)
+    report = _run_eval_like(args, _load_corpus(args.corpus), _experiment_config(args))
     if args.out:
         report.write_json(args.out)
-    moved = report.per_run[0]["moved_to_store"] if report.per_run else 0
     print(format_report_table([report]))
-    print(f"moved {moved} responses into the store per run")
+    print(f"moved {report.per_run[0]['moved_to_store']} responses into the store per run")
     return EXIT_OK
 
 
 def _cmd_optimize_prompt(args) -> int:
     corpus = _load_corpus(args.corpus)
     config = _experiment_config(args)
-    adapters = _load_adapters(args.adapter)
-    base = HashEmbedder(config.embed_dim)
-    embedder = resolve_embedder(config, base, adapters)
-    with_examples = args.scenario == "ua"
-    store = None
-    if with_examples:
-        store = (
-            VectorStore.load(args.store)
-            if args.store
-            else build_store(list(corpus.split("train")), embedder, corpus.questions)
-        )
-    draft = load_template(
-        scheme_task(config.scheme),
-        "with_examples" if with_examples else "without_examples",
-        config.template_style,
+    store = VectorStore.load(args.store) if args.store else None
+    grader = seed_grader(
+        corpus,
+        args.scenario,
+        config,
+        config.seeds[0],
+        make_backend(config.backend),
+        adapters=_load_adapters(args.adapter),
+        store=store,
     )
-    opt_config = OptimizerConfig(steps=args.steps, beam=args.candidates, metric=args.metric)
     evaluator = PromptEvaluator(
         list(corpus.split(args.scenario)),
         corpus,
         config.scheme,
-        make_backend(config.backend),
+        grader.backend,
         metric=args.metric,
-        embedder=embedder,
-        store=store,
-        k=config.k,
-        same_question_only=with_examples,
-        params=opt_config.task_params,
+        embedder=grader.embedder,
+        store=grader.store,
+        k=grader.k,
+        same_question_only=grader.same_question_only,
+        params=grader.params,
+        fallback_label=grader.fallback_label,
     )
-    result = optimize(opt_config, draft, evaluator, make_backend(args.critic))
+    opt_config = OptimizerConfig(steps=args.steps, beam=args.candidates, metric=args.metric)
+    result = optimize(opt_config, grader.template, evaluator, make_backend(args.critic))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "best_template.txt").write_text(result.best.template.body, encoding="utf-8")

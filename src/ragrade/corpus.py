@@ -27,10 +27,6 @@ class Label(enum.Enum):
     IRRELEVANT = "irrelevant"
     NON_DOMAIN = "non-domain"
 
-    @property
-    def canonical(self) -> str:
-        return self.value
-
     @classmethod
     def parse(cls, text: str) -> "Label":
         """Resolve a judgment string to a Label.
@@ -87,9 +83,6 @@ class Scheme(enum.Enum):
         if self is Scheme.THREE_WAY:
             return ("correct", "incorrect", "contradictory")
         return ("correct", "incorrect")
-
-    def collapse(self, label: Label) -> str:
-        return collapse_label(label, self)
 
 
 def collapse_label(label: Label, scheme: Scheme) -> str:

@@ -31,7 +31,7 @@ ENV_TEXT_PATH = "RAGRADE_GLM_TEXT_PATH"
 class GenParams:
     temperature: float = 0.0
     max_tokens: int = 64
-    model_id: str = "default"
+    model_id: str | None = None  # None: $RAGRADE_GLM_MODEL, else "default"
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -232,20 +232,20 @@ class RemoteBackend(GlmBackend):
                 raise NonRetryableError(
                     f"response JSON lacks field path {self.text_path!r}: {exc}"
                 ) from exc
-            self._log(prompt, params, text)
+            self._log(payload, text)
             return text
         raise RetryExhausted(
             f"giving up after {self.max_attempts} attempts; last failure: {last_failure}"
         )
 
-    def _log(self, prompt: str, params: GenParams, completion: str) -> None:
+    def _log(self, payload: dict, completion: str) -> None:
         if self.log_path is None:
             return
         record = {
-            "prompt_sha256": prompt_digest(prompt),
-            "prompt": prompt,
-            "model": params.model_id,
-            "temperature": params.temperature,
+            "prompt_sha256": prompt_digest(payload["prompt"]),
+            "prompt": payload["prompt"],
+            "model": payload["model"],
+            "temperature": payload["temperature"],
             "completion": completion,
         }
         with self._log_lock, self.log_path.open("a", encoding="utf-8") as fh:

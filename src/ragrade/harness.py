@@ -29,7 +29,14 @@ from .glm import GenParams, GlmBackend, ParseFailure, make_backend, parse_judgme
 from .losses import LossKind
 from .metrics import ConfusionMatrix, per_class_stats, summarize
 from .pairs import Scope, Strategy, build_training_sets
-from .prompts import PromptBindings, PromptTemplate, load_template, render, scheme_task
+from .prompts import (
+    PromptBindings,
+    PromptTemplate,
+    format_examples,
+    load_template,
+    render,
+    scheme_task,
+)
 from .training import TrainConfig, train_for_corpus
 from .vstore import RetrievalConfig, VectorStore, build_store, entry_from_response, top_k
 
@@ -72,7 +79,8 @@ class ExperimentConfig:
     batch_size: int = 8
     temperature: float = 0.0
     max_tokens: int = 64
-    model_id: str = "default"
+    # None sends $RAGRADE_GLM_MODEL, or "default" when that is unset
+    model_id: str | None = None
 
     def __post_init__(self):
         if not self.seeds:
@@ -83,13 +91,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"fallback label {self.fallback_label!r} not in scheme {self.scheme.value}"
             )
-
-    def resolved_fallback(self) -> str:
-        return self.fallback_label or default_fallback(self.scheme)
-
-    @property
-    def runs(self) -> int:
-        return len(self.seeds)
 
     def gen_params(self) -> GenParams:
         return GenParams(
@@ -145,6 +146,14 @@ class GradingOutcome:
     parse_failures: int
     raw_completions: list[str] = field(default_factory=list)
 
+    def confusion(self, scheme: Scheme) -> ConfusionMatrix:
+        return ConfusionMatrix.from_pairs(
+            self.gold,
+            self.predictions,
+            labels=scheme.labels(),
+            parse_failures=self.parse_failures,
+        )
+
 
 def grade_responses(
     responses: list[Response],
@@ -173,22 +182,13 @@ def grade_responses(
     fallback_label = fallback_label or default_fallback(scheme)
     retrieval = RetrievalConfig(k=k, same_question_only=same_question_only)
 
-    predictions: list[str] = []
-    gold: list[str] = []
-    raws: list[str] = []
-    failures = 0
+    outcome = GradingOutcome(predictions=[], gold=[], parse_failures=0)
     for r in responses:
         question = questions[r.question_id]
         examples = None
         if with_examples:
             retrieved = top_k(store, r.text, embedder, retrieval, question_id=r.question_id)
-            examples = [
-                (
-                    e.metadata["response_text"],
-                    collapse_label(Label.parse(e.metadata["judgment"]), scheme),
-                )
-                for e, _ in retrieved
-            ]
+            examples = format_examples(retrieved, scheme)
         bindings = PromptBindings(
             new_answer=r.text,
             question=question.text,
@@ -197,16 +197,14 @@ def grade_responses(
         )
         prompt = render(template, bindings)
         raw = backend.complete(prompt, params)
-        raws.append(raw)
+        outcome.raw_completions.append(raw)
         try:
-            predictions.append(parse_judgment(raw, scheme, template.style).label)
+            outcome.predictions.append(parse_judgment(raw, scheme, template.style).label)
         except ParseFailure:
-            predictions.append(fallback_label)
-            failures += 1
-        gold.append(collapse_label(r.label, scheme))
-    return GradingOutcome(
-        predictions=predictions, gold=gold, parse_failures=failures, raw_completions=raws
-    )
+            outcome.predictions.append(fallback_label)
+            outcome.parse_failures += 1
+        outcome.gold.append(collapse_label(r.label, scheme))
+    return outcome
 
 
 @dataclass
@@ -232,9 +230,11 @@ class EvalReport:
 
 def _mean_reports(
     scenario: str,
-    scheme: Scheme,
+    config: ExperimentConfig,
+    corpus: Corpus,
+    template: PromptTemplate,
     run_outcomes: list[tuple[int, ConfusionMatrix, dict]],
-    manifest: dict,
+    **manifest_extra,
 ) -> EvalReport:
     """Average per-run metrics and per-class stats into one report."""
     per_run = []
@@ -250,16 +250,17 @@ def _mean_reports(
         per_run.append(row)
     keys = ("acc", "m_f1", "w_f1", "micro_f1")
     metrics = {key: float(np.mean([row[key] for row in per_run])) for key in keys}
-    labels = scheme.labels()
     per_class = []
-    for i, label in enumerate(labels):
+    for i, label in enumerate(config.scheme.labels()):
         entry = {"label": label}
         for key in ("precision", "recall", "f1", "support"):
             entry[key] = float(np.mean([row["per_class"][i][key] for row in per_run]))
         per_class.append(entry)
+    manifest = config.manifest()
+    manifest.update({"corpus_name": corpus.name, "template": template.id, **manifest_extra})
     return EvalReport(
         scenario=scenario,
-        scheme=scheme.value,
+        scheme=config.scheme.value,
         metrics=metrics,
         per_class=per_class,
         parse_failures=int(sum(row["parse_failures"] for row in per_run)),
@@ -271,12 +272,10 @@ def _mean_reports(
 
 
 def resolve_embedder(
-    config: ExperimentConfig,
-    base: BaseEmbedder | None = None,
+    base: BaseEmbedder,
     adapters: dict[str, Adapter] | Adapter | None = None,
 ) -> BaseEmbedder:
     """Base embedder wrapped with a single or per-question adapter set."""
-    base = base or HashEmbedder(config.embed_dim)
     if adapters is None:
         return base
     if isinstance(adapters, Adapter):
@@ -284,18 +283,85 @@ def resolve_embedder(
     return QuestionRoutedEmbedder(base, adapters)
 
 
-def _maybe_train(
-    config: ExperimentConfig, corpus: Corpus, base: BaseEmbedder, seed: int
-) -> dict[str, Adapter] | Adapter | None:
-    if not config.train_adapter:
-        return None
-    sets = build_training_sets(
-        corpus, config.scheme, config.strategy, config.scope, seed
+@dataclass
+class Grader:
+    """Everything grading needs besides the responses; see grade_responses."""
+
+    questions: dict[str, Question]
+    scheme: Scheme
+    template: PromptTemplate
+    backend: GlmBackend
+    embedder: BaseEmbedder | None = None
+    store: VectorStore | None = None
+    k: int = 5
+    same_question_only: bool = False
+    params: GenParams | None = None
+    fallback_label: str | None = None
+
+    def grade(self, responses: list[Response]) -> GradingOutcome:
+        return grade_responses(
+            responses,
+            self.questions,
+            self.scheme,
+            self.template,
+            self.backend,
+            embedder=self.embedder,
+            store=self.store,
+            k=self.k,
+            same_question_only=self.same_question_only,
+            params=self.params,
+            fallback_label=self.fallback_label,
+        )
+
+
+def seed_grader(
+    corpus: Corpus,
+    scenario: str,
+    config: ExperimentConfig,
+    seed: int,
+    backend: GlmBackend,
+    base: BaseEmbedder | None = None,
+    adapters: dict[str, Adapter] | Adapter | None = None,
+    store: VectorStore | None = None,
+    rag: bool = False,
+) -> Grader:
+    """One seed's grader for a scenario under config.
+
+    ua retrieves same-question examples from the train-split store, a
+    rag-fraction run (rag) retrieves corpus-wide, and uq/ud grade
+    without examples.  Adapters not passed in are trained for this seed
+    when config.train_adapter is set; a store not passed in is built
+    with this seed's embedder.
+    """
+    with_examples = scenario == "ua" or rag
+    template = load_template(
+        scheme_task(config.scheme),
+        "with_examples" if with_examples else "without_examples",
+        config.template_style,
     )
-    results = train_for_corpus(config.train_config(seed), corpus, sets, base)
-    if config.scope is Scope.GLOBAL:
-        return results["global"].adapter
-    return {qid: res.adapter for qid, res in results.items()}
+    base = base or HashEmbedder(config.embed_dim)
+    if adapters is None and config.train_adapter:
+        sets = build_training_sets(corpus, config.scheme, config.strategy, config.scope, seed)
+        results = train_for_corpus(config.train_config(seed), corpus, sets, base)
+        if config.scope is Scope.GLOBAL:
+            adapters = results["global"].adapter
+        else:
+            adapters = {qid: res.adapter for qid, res in results.items()}
+    embedder = resolve_embedder(base, adapters)
+    if with_examples and store is None:
+        store = build_store(list(corpus.split("train")), embedder, corpus.questions)
+    return Grader(
+        questions=corpus.questions,
+        scheme=config.scheme,
+        template=template,
+        backend=backend,
+        embedder=embedder,
+        store=store,
+        k=config.k,
+        same_question_only=scenario == "ua",
+        params=config.gen_params(),
+        fallback_label=config.fallback_label,
+    )
 
 
 def run_scenario(
@@ -310,8 +376,9 @@ def run_scenario(
     """Evaluate one test scenario, averaging metrics across config.seeds.
 
     ua grades with retrieved examples against the train-split store
-    (same-question candidates); uq and ud grade without examples.  Any
-    artifact not passed in is built on demand.
+    (same-question candidates); uq and ud grade without examples, or as
+    a rag-fraction experiment when config.rag_fraction is set.  Any
+    artifact not passed in is built on demand, once per seed.
     """
     scenario = scenario.lower()
     if scenario not in SCENARIOS:
@@ -330,51 +397,19 @@ def run_scenario(
     responses = list(corpus.split(scenario))
     if not responses:
         raise HarnessError(f"corpus has no {scenario} split")
-    if backend is None:
-        backend = make_backend(config.backend)
-    with_examples = scenario == "ua"
-    template = load_template(
-        scheme_task(config.scheme),
-        "with_examples" if with_examples else "without_examples",
-        config.template_style,
-    )
-
-    base = base or HashEmbedder(config.embed_dim)
+    backend = backend or make_backend(config.backend)
     run_outcomes = []
     for seed in config.seeds:
-        run_adapters = adapters if adapters is not None else _maybe_train(config, corpus, base, seed)
-        embedder = resolve_embedder(config, base, run_adapters)
-        run_store = store
-        if with_examples and run_store is None:
-            run_store = build_store(list(corpus.split("train")), embedder, corpus.questions)
-        outcome = grade_responses(
-            responses,
-            corpus.questions,
-            config.scheme,
-            template,
-            backend,
-            embedder=embedder,
-            store=run_store,
-            k=config.k,
-            same_question_only=with_examples,
-            params=config.gen_params(),
-            fallback_label=config.resolved_fallback(),
-        )
-        cm = ConfusionMatrix.from_pairs(
-            outcome.gold,
-            outcome.predictions,
-            labels=config.scheme.labels(),
-            parse_failures=outcome.parse_failures,
-        )
+        grader = seed_grader(corpus, scenario, config, seed, backend, base, adapters, store)
+        outcome = grader.grade(responses)
         extra = {
             "response_ids": [r.id for r in responses],
             "predictions": outcome.predictions,
         }
-        run_outcomes.append((seed, cm, extra))
-
-    manifest = config.manifest()
-    manifest.update({"corpus_name": corpus.name, "template": template.id})
-    return _mean_reports(scenario, config.scheme, run_outcomes, manifest)
+        run_outcomes.append((seed, outcome.confusion(config.scheme), extra))
+        template = grader.template
+        del grader  # free this seed's store before the next seed builds one
+    return _mean_reports(scenario, config, corpus, template, run_outcomes)
 
 
 def rag_fraction_experiment(
@@ -402,42 +437,24 @@ def rag_fraction_experiment(
     responses = list(corpus.split(scenario))
     if not responses:
         raise HarnessError(f"corpus has no {scenario} split")
-    if backend is None:
-        backend = make_backend(config.backend)
-    template = load_template(scheme_task(config.scheme), "with_examples", config.template_style)
-
-    base = base or HashEmbedder(config.embed_dim)
-    embedder = resolve_embedder(config, base, adapters)
-    if store is None:
-        store = build_store(list(corpus.split("train")), embedder, corpus.questions)
-
+    backend = backend or make_backend(config.backend)
+    # only trained adapters tie the store to a seed; otherwise it is built once
+    trains = adapters is None and config.train_adapter
+    shared = None if trains else seed_grader(
+        corpus, scenario, config, config.seeds[0], backend, base, adapters, store, rag=True
+    )
     run_outcomes = []
     for seed in config.seeds:
+        grader = shared or seed_grader(
+            corpus, scenario, config, seed, backend, base, adapters, store, rag=True
+        )
         rng = np.random.default_rng(seed)
         n_moved = int(fraction * len(responses))
-        moved_idx = sorted(rng.choice(len(responses), size=n_moved, replace=False).tolist())
-        moved = [responses[i] for i in moved_idx]
-        held_out = [r for i, r in enumerate(responses) if i not in set(moved_idx)]
-        extended = store.extended([entry_from_response(r, embedder) for r in moved])
-        outcome = grade_responses(
-            held_out,
-            corpus.questions,
-            config.scheme,
-            template,
-            backend,
-            embedder=embedder,
-            store=extended,
-            k=config.k,
-            same_question_only=False,
-            params=config.gen_params(),
-            fallback_label=config.resolved_fallback(),
-        )
-        cm = ConfusionMatrix.from_pairs(
-            outcome.gold,
-            outcome.predictions,
-            labels=config.scheme.labels(),
-            parse_failures=outcome.parse_failures,
-        )
+        moved_idx = set(rng.choice(len(responses), size=n_moved, replace=False).tolist())
+        moved = [r for i, r in enumerate(responses) if i in moved_idx]
+        held_out = [r for i, r in enumerate(responses) if i not in moved_idx]
+        extended = grader.store.extended([entry_from_response(r, grader.embedder) for r in moved])
+        outcome = dataclasses.replace(grader, store=extended).grade(held_out)
         extra = {
             "moved_to_store": len(moved),
             "scored": len(held_out),
@@ -445,18 +462,18 @@ def rag_fraction_experiment(
             "response_ids": [r.id for r in held_out],
             "predictions": outcome.predictions,
         }
-        run_outcomes.append((seed, cm, extra))
-
-    manifest = config.manifest()
-    manifest.update(
-        {
-            "corpus_name": corpus.name,
-            "template": template.id,
-            "rag_fraction": fraction,
-            "base_store_entries": len(store),
-        }
+        run_outcomes.append((seed, outcome.confusion(config.scheme), extra))
+        template, base_entries = grader.template, len(grader.store)
+        del grader, extended  # free a trained seed's store before the next one
+    return _mean_reports(
+        scenario,
+        config,
+        corpus,
+        template,
+        run_outcomes,
+        rag_fraction=fraction,
+        base_store_entries=base_entries,
     )
-    return _mean_reports(scenario, config.scheme, run_outcomes, manifest)
 
 
 def format_report_table(reports: list[EvalReport]) -> str:

@@ -12,14 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .corpus import Corpus, Scheme
 from .embedding import BaseEmbedder
 from .glm import GenParams, GlmBackend
-from .harness import grade_responses
-from .metrics import ConfusionMatrix, accuracy, macro_f1, weighted_f1
+from .harness import Grader
+from .metrics import accuracy, macro_f1, weighted_f1
 from .prompts import PromptError, PromptTemplate, load_critic_meta_prompt
 from .vstore import VectorStore
 
@@ -35,7 +35,6 @@ class OptimizerConfig:
     steps: int = 3  # optimization steps
     beam: int = 4  # candidates proposed per step and retained-set size
     metric: str = "accuracy"
-    task_params: GenParams = field(default_factory=lambda: GenParams(temperature=0.0))
     critic_params: GenParams = field(default_factory=lambda: GenParams(temperature=0.9, max_tokens=2048))
     seed: int = 0
     max_reproposals: int = 3
@@ -145,17 +144,20 @@ class PromptEvaluator:
         dev_set_id: str | None = None,
     ):
         self.dev_set = list(dev_set)
-        self.corpus = corpus
-        self.scheme = scheme
-        self.backend = backend
+        self.grader = Grader(
+            questions=corpus.questions,
+            scheme=scheme,
+            template=None,  # each score() grades with its own template
+            backend=backend,
+            embedder=embedder,
+            store=store,
+            k=k,
+            same_question_only=same_question_only,
+            params=params,
+            fallback_label=fallback_label,
+        )
         self.metric_name = metric
         self.metric = METRICS[metric]
-        self.embedder = embedder
-        self.store = store
-        self.k = k
-        self.same_question_only = same_question_only
-        self.params = params or GenParams()
-        self.fallback_label = fallback_label
         self.dev_set_id = dev_set_id or self._digest_dev_set()
         self.cache: dict[tuple[str, str], float] = {}
         self.evaluations = 0  # backend-hitting evaluations, for tests
@@ -170,26 +172,8 @@ class PromptEvaluator:
         key = (template.sha256, self.dev_set_id)
         if key in self.cache:
             return self.cache[key]
-        outcome = grade_responses(
-            self.dev_set,
-            self.corpus.questions,
-            self.scheme,
-            template,
-            self.backend,
-            embedder=self.embedder,
-            store=self.store,
-            k=self.k,
-            same_question_only=self.same_question_only,
-            params=self.params,
-            fallback_label=self.fallback_label,
-        )
-        cm = ConfusionMatrix.from_pairs(
-            outcome.gold,
-            outcome.predictions,
-            labels=self.scheme.labels(),
-            parse_failures=outcome.parse_failures,
-        )
-        value = float(self.metric(cm))
+        outcome = replace(self.grader, template=template).grade(self.dev_set)
+        value = float(self.metric(outcome.confusion(self.grader.scheme)))
         self.cache[key] = value
         self.evaluations += 1
         return value

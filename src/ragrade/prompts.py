@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import Scheme, collapse_label
+from .corpus import Label, Scheme, collapse_label
 
 PLACEHOLDERS = ("QUESTION", "REFERENCE_ANSWER", "EXAMPLES", "NEW_ANSWER")
 TASKS = ("SB3", "SB2", "BEETLE5")
@@ -134,8 +134,6 @@ def format_examples(
     for entry, _score in retrieved:
         judgment = entry.metadata["judgment"]
         if scheme is not None:
-            from .corpus import Label
-
             judgment = collapse_label(Label.parse(judgment), scheme)
         items.append((entry.metadata["response_text"], judgment))
     return _example_blocks(items)

@@ -37,7 +37,7 @@ class Entry:
                 raise StoreError(f"entry metadata missing required key {key!r}")
         vec = np.asarray(self.vector, dtype=np.float32)
         norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN
             raise StoreError(f"entry vector norm {norm} is not unit")
         object.__setattr__(self, "vector", vec)
 
@@ -90,19 +90,22 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
+        """Read a saved store; any malformed line or row raises StoreError naming it."""
         path = Path(path)
         with path.open("rb") as fh:
-            header_line = fh.readline()
-            try:
-                header = json.loads(header_line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise StoreError(f"{path}: not a vector store file") from None
+            header = _json_object(path, 1, fh.readline())
             if header.get("version") != STORE_VERSION:
                 raise StoreError(
                     f"{path}: unsupported store version {header.get('version')!r}"
                 )
-            dim, count = header["dim"], header["count"]
-            metadata = [json.loads(fh.readline().decode("utf-8")) for _ in range(count)]
+            dim, count = header.get("dim"), header.get("count")
+            sizes_ok = type(dim) is int and dim >= 1 and type(count) is int and count >= 0
+            if not sizes_ok or not isinstance(header.get("embedder_id"), str):
+                raise StoreError(
+                    f"{path}: line 1: header needs integer dim >= 1, count >= 0 and a string "
+                    f"embedder_id, got dim {dim!r} and count {count!r}"
+                )
+            metadata = [_json_object(path, line, fh.readline()) for line in range(2, count + 2)]
             payload = fh.read()
         expected = count * dim * 4
         if len(payload) != expected:
@@ -111,8 +114,24 @@ class VectorStore:
                 f"got {len(payload)}"
             )
         vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-        entries = [Entry(vector=vectors[i], metadata=metadata[i]) for i in range(count)]
+        entries = []
+        for i in range(count):
+            try:
+                entries.append(Entry(vector=vectors[i], metadata=metadata[i]))
+            except StoreError as exc:
+                raise StoreError(f"{path}: row {i}: {exc}") from None
         return cls(dim=dim, embedder_id=header["embedder_id"], entries=entries)
+
+
+def _json_object(path: Path, line: int, raw: bytes) -> dict:
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        obj = None
+    if not isinstance(obj, dict):
+        problem = "not a JSON object" if raw else "missing, the file is truncated"
+        raise StoreError(f"{path}: line {line}: {problem}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -167,20 +186,9 @@ def build_store(
     return VectorStore(dim=dim, embedder_id=embedder.embedder_id, entries=entries)
 
 
-def entry_from_response(
-    response: Response, embedder: BaseEmbedder
-) -> Entry:
-    vec = embedder.embed_scoped(response.text, response.question_id)
-    vec = np.asarray(vec, dtype=np.float64)
-    return Entry(
-        vector=vec / np.linalg.norm(vec),
-        metadata={
-            "response_text": response.text,
-            "judgment": response.label.value,
-            "response_id": response.id,
-            "question_id": response.question_id,
-        },
-    )
+def entry_from_response(response: Response, embedder: BaseEmbedder) -> Entry:
+    """The entry build_store makes for one response."""
+    return build_store([response], embedder).entries[0]
 
 
 def top_k(

@@ -2,7 +2,20 @@ import json
 
 import pytest
 
+import ragrade.cli
+import ragrade.harness
 from ragrade.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
+
+# a global adapter this strong moves one ua verdict on the tiny corpus, so
+# grading with and without training can be told apart
+TRAINED = {
+    "seeds": [1],
+    "embed_dim": 32,
+    "train_adapter": True,
+    "scope": "global",
+    "loss": "cosine_similarity",
+    "learning_rate": 1.0,
+}
 
 
 @pytest.fixture
@@ -262,6 +275,52 @@ class TestScore:
         assert {"id", "gold", "predicted"} <= set(rows[0])
 
 
+    def test_train_flag_trains_an_adapter(self, corpus_arg, tmp_path, monkeypatch):
+        seeds = []
+        real = ragrade.harness.train_for_corpus
+
+        def spy(config, *args, **kwargs):
+            seeds.append(config.seed)
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(ragrade.harness, "train_for_corpus", spy)
+        out = tmp_path / "predictions.jsonl"
+        code = cli(
+            [
+                "score",
+                "--corpus",
+                corpus_arg,
+                "--seeds",
+                "4,5",
+                "--dim",
+                "32",
+                "--train",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        assert seeds == [4]  # score grades the first seed only
+
+    @pytest.mark.parametrize(
+        "scenario, config",
+        [("ua", TRAINED), ("uq", {"seeds": [1], "rag_fraction": 0.4})],
+        ids=["ua-trained", "uq-rag-fraction"],
+    )
+    def test_rows_match_evaluate_first_run(self, corpus_arg, tmp_path, scenario, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        common = ["--corpus", corpus_arg, "--scenario", scenario, "--config", str(config_path)]
+        scored = tmp_path / "predictions.jsonl"
+        report_path = tmp_path / "report.json"
+        assert cli(["score", *common, "--out", str(scored)]) == EXIT_OK
+        assert cli(["evaluate", *common, "--out", str(report_path)]) == EXIT_OK
+        rows = [json.loads(line) for line in scored.read_text().splitlines()]
+        run = json.loads(report_path.read_text())["per_run"][0]
+        assert [row["id"] for row in rows] == run["response_ids"]
+        assert [row["predicted"] for row in rows] == run["predictions"]
+
+
 class TestRagFraction:
     def test_smoke_reports_store_delta(self, corpus_arg, tmp_path, capsys):
         report_path = tmp_path / "rag.json"
@@ -339,3 +398,52 @@ class TestOptimizePrompt:
         history = [json.loads(l) for l in (out / "history.jsonl").read_text().splitlines()]
         assert len(history) == 2  # draft + one proposal
         assert "best score" in capsys.readouterr().out
+
+    def test_config_reaches_the_task_backend(self, corpus_arg, tmp_path, monkeypatch, capsys):
+        class Recorder:
+            """Records the params of every request and never returns a verdict."""
+
+            def __init__(self):
+                self.params = []
+
+            def complete(self, prompt, params):
+                self.params.append(params)
+                return "no verdict in here"
+
+        task = Recorder()
+        real = ragrade.cli.make_backend
+        monkeypatch.setattr(
+            ragrade.cli, "make_backend", lambda spec: task if spec == "recorder" else real(spec)
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {"backend": "recorder", "temperature": 0.7, "fallback_label": "correct", "seeds": [1]}
+            )
+        )
+        critic = tmp_path / "critic.json"
+        critic.write_text(json.dumps(["no template here"]))
+        code = cli(
+            [
+                "optimize-prompt",
+                "--corpus",
+                corpus_arg,
+                "--scenario",
+                "ua",
+                "--config",
+                str(config_path),
+                "--critic",
+                f"scripted:{critic}",
+                "--steps",
+                "1",
+                "--candidates",
+                "1",
+                "--out-dir",
+                str(tmp_path / "opt"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert len(task.params) == 4
+        assert {p.temperature for p in task.params} == {0.7}
+        # every verdict falls back to "correct": 2 of the 4 ua answers are correct
+        assert "best score 0.5000" in capsys.readouterr().out

@@ -217,6 +217,20 @@ class TestRemoteBackend:
         assert backend.complete("p", PARAMS).startswith("echo:")
         assert _GlmHandler.requests_seen[-1]["auth"] == "Bearer from-env"
 
+    def test_env_model_sent_when_none_given(self, glm_server, monkeypatch, tmp_path):
+        monkeypatch.setenv("RAGRADE_GLM_MODEL", "model-from-env")
+        log = tmp_path / "log.jsonl"
+        backend, _ = fast_backend(glm_server, log_path=log)
+        backend.complete("p", PARAMS)
+        assert _GlmHandler.requests_seen[-1]["body"]["model"] == "model-from-env"
+        assert json.loads(log.read_text())["model"] == "model-from-env"
+
+    def test_explicit_model_beats_env(self, glm_server, monkeypatch):
+        monkeypatch.setenv("RAGRADE_GLM_MODEL", "model-from-env")
+        backend, _ = fast_backend(glm_server)
+        backend.complete("p", GenParams(model_id="chosen"))
+        assert _GlmHandler.requests_seen[-1]["body"]["model"] == "chosen"
+
     def test_logs_for_replay(self, glm_server, tmp_path):
         log = tmp_path / "log.jsonl"
         backend, _ = fast_backend(glm_server, log_path=log)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,74 @@ class TestSaveLoad:
         store.save(path)
         loaded = VectorStore.load(path)
         assert [e.metadata["response_id"] for e in loaded.entries] == [f"e{i}" for i in range(5)]
+
+
+class TestLoadRejectsMalformedFiles:
+    """Every malformed store file fails as StoreError naming the path and line or row."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        store = VectorStore(
+            dim=2,
+            embedder_id="x",
+            entries=[entry([1.0, 0.0], response_id="a"), entry([0.0, 1.0], response_id="b")],
+        )
+        path = tmp_path / "s.vdb"
+        store.save(path)
+        return path
+
+    @staticmethod
+    def lines(path):
+        data = path.read_bytes()
+        header, meta_a, meta_b, payload = data.split(b"\n", 3)
+        return header, meta_a, meta_b, payload
+
+    def assert_rejected(self, path, where):
+        with pytest.raises(StoreError, match=where) as info:
+            VectorStore.load(path)
+        assert str(path) in str(info.value)
+
+    def test_truncated_metadata_section(self, saved):
+        header, meta_a, _, _ = self.lines(saved)
+        saved.write_bytes(header + b"\n" + meta_a + b"\n")
+        self.assert_rejected(saved, "line 3")
+
+    def test_bad_metadata_line(self, saved):
+        header, _, meta_b, payload = self.lines(saved)
+        saved.write_bytes(header + b"\n{not json\n" + meta_b + b"\n" + payload)
+        self.assert_rejected(saved, "line 2")
+
+    def test_header_without_dim(self, saved):
+        header, meta_a, meta_b, payload = self.lines(saved)
+        obj = json.loads(header)
+        del obj["dim"]
+        saved.write_bytes(b"\n".join([json.dumps(obj).encode(), meta_a, meta_b, payload]))
+        self.assert_rejected(saved, "line 1.*dim")
+
+    def test_header_that_is_a_list(self, saved):
+        _, meta_a, meta_b, payload = self.lines(saved)
+        saved.write_bytes(b"\n".join([b"[1, 2]", meta_a, meta_b, payload]))
+        self.assert_rejected(saved, "line 1")
+
+    def test_negative_count(self, saved):
+        header, meta_a, meta_b, payload = self.lines(saved)
+        header = header.replace(b'"count": 2', b'"count": -8')
+        saved.write_bytes(b"\n".join([header, meta_a, meta_b, payload]))
+        self.assert_rejected(saved, "line 1.*count")
+
+    def test_non_unit_row(self, saved):
+        header, meta_a, meta_b, _ = self.lines(saved)
+        payload = np.array([[1.0, 0.0], [0.5, 0.5]], dtype="<f4").tobytes()
+        saved.write_bytes(b"\n".join([header, meta_a, meta_b, payload]))
+        self.assert_rejected(saved, "row 1.*not unit")
+
+    def test_nan_row(self, saved):
+        header, meta_a, meta_b, _ = self.lines(saved)
+        payload = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype="<f4").tobytes()
+        saved.write_bytes(b"\n".join([header, meta_a, meta_b, payload]))
+        self.assert_rejected(saved, "row 0.*not unit")
+
+    def test_valid_file_still_loads_byte_stable(self, saved, tmp_path):
+        again = tmp_path / "again.vdb"
+        VectorStore.load(saved).save(again)
+        assert again.read_bytes() == saved.read_bytes()
