@@ -45,6 +45,7 @@ from .glm import (
 from .harness import (
     EvalReport,
     ExperimentConfig,
+    Grader,
     format_report_table,
     grade_responses,
     nearest_neighbor_predictions,

@@ -25,7 +25,14 @@ from .embedding import (
     HashEmbedder,
     QuestionRoutedEmbedder,
 )
-from .glm import GenParams, GlmBackend, ParseFailure, make_backend, parse_judgment
+from .glm import (
+    GenParams,
+    GlmBackend,
+    ParseFailure,
+    RetryExhausted,
+    make_backend,
+    parse_judgment,
+)
 from .losses import LossKind
 from .metrics import ConfusionMatrix, per_class_stats, summarize
 from .pairs import Scope, Strategy, build_training_sets
@@ -143,8 +150,8 @@ class ExperimentConfig:
 class GradingOutcome:
     predictions: list[str]
     gold: list[str]
-    parse_failures: int
-    raw_completions: list[str] = field(default_factory=list)
+    parse_failures: int = 0
+    backend_failures: int = 0
 
     def confusion(self, scheme: Scheme) -> ConfusionMatrix:
         return ConfusionMatrix.from_pairs(
@@ -155,55 +162,64 @@ class GradingOutcome:
         )
 
 
-def grade_responses(
-    responses: list[Response],
-    questions: dict[str, Question],
-    scheme: Scheme,
-    template: PromptTemplate,
-    backend: GlmBackend,
-    embedder: BaseEmbedder | None = None,
-    store: VectorStore | None = None,
-    k: int = 5,
-    same_question_only: bool = False,
-    params: GenParams | None = None,
-    fallback_label: str | None = None,
-) -> GradingOutcome:
+@dataclass
+class Grader:
+    """Everything grading needs besides the responses; see grade_responses."""
+
+    questions: dict[str, Question]
+    scheme: Scheme
+    template: PromptTemplate
+    backend: GlmBackend
+    embedder: BaseEmbedder | None = None
+    store: VectorStore | None = None
+    k: int = 5
+    same_question_only: bool = False
+    params: GenParams | None = None
+    fallback_label: str | None = None
+
+
+def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome:
     """Grade responses through the full pipeline against gold labels.
 
     Templates with an examples slot retrieve top-k from the store first;
     templates without grade on question and reference alone.  Verdicts
-    that cannot be parsed fall back to fallback_label (scheme default
-    when None) and are counted.
+    that cannot be parsed, and responses whose backend call ran out of
+    retries, fall back to fallback_label (scheme default when None) and
+    are counted apart.  Any other backend error ends the grading.
     """
-    with_examples = template.scenario == "with_examples"
-    if with_examples and (store is None or embedder is None):
+    g = grader
+    with_examples = g.template.scenario == "with_examples"
+    if with_examples and (g.store is None or g.embedder is None):
         raise HarnessError("with_examples grading needs a store and an embedder")
-    params = params or GenParams()
-    fallback_label = fallback_label or default_fallback(scheme)
-    retrieval = RetrievalConfig(k=k, same_question_only=same_question_only)
+    params = g.params or GenParams()
+    fallback_label = g.fallback_label or default_fallback(g.scheme)
+    retrieval = RetrievalConfig(k=g.k, same_question_only=g.same_question_only)
 
-    outcome = GradingOutcome(predictions=[], gold=[], parse_failures=0)
+    outcome = GradingOutcome(predictions=[], gold=[])
     for r in responses:
-        question = questions[r.question_id]
+        question = g.questions[r.question_id]
         examples = None
         if with_examples:
-            retrieved = top_k(store, r.text, embedder, retrieval, question_id=r.question_id)
-            examples = format_examples(retrieved, scheme)
+            retrieved = top_k(g.store, r.text, g.embedder, retrieval, question_id=r.question_id)
+            examples = format_examples(retrieved, g.scheme)
         bindings = PromptBindings(
             new_answer=r.text,
             question=question.text,
             reference_answer="\n".join(question.reference_answers),
             examples=examples,
         )
-        prompt = render(template, bindings)
-        raw = backend.complete(prompt, params)
-        outcome.raw_completions.append(raw)
+        prompt = render(g.template, bindings)
         try:
-            outcome.predictions.append(parse_judgment(raw, scheme, template.style).label)
+            raw = g.backend.complete(prompt, params)
+            label = parse_judgment(raw, g.scheme, g.template.style).label
+        except RetryExhausted:
+            label = fallback_label
+            outcome.backend_failures += 1
         except ParseFailure:
-            outcome.predictions.append(fallback_label)
+            label = fallback_label
             outcome.parse_failures += 1
-        outcome.gold.append(collapse_label(r.label, scheme))
+        outcome.predictions.append(label)
+        outcome.gold.append(collapse_label(r.label, g.scheme))
     return outcome
 
 
@@ -214,6 +230,7 @@ class EvalReport:
     metrics: dict
     per_class: list[dict]
     parse_failures: int
+    backend_failures: int
     runs: int
     seeds: list[int]
     manifest: dict
@@ -233,18 +250,19 @@ def _mean_reports(
     config: ExperimentConfig,
     corpus: Corpus,
     template: PromptTemplate,
-    run_outcomes: list[tuple[int, ConfusionMatrix, dict]],
+    run_outcomes: list[tuple[int, GradingOutcome, dict]],
     **manifest_extra,
 ) -> EvalReport:
     """Average per-run metrics and per-class stats into one report."""
     per_run = []
-    for seed, cm, extra in run_outcomes:
-        stats = per_class_stats(cm)
+    for seed, outcome, extra in run_outcomes:
+        cm = outcome.confusion(config.scheme)
         row = {
             "seed": seed,
             **summarize(cm),
             "parse_failures": cm.parse_failures,
-            "per_class": [s.as_dict() for s in stats],
+            "backend_failures": outcome.backend_failures,
+            "per_class": [s.as_dict() for s in per_class_stats(cm)],
         }
         row.update(extra)
         per_run.append(row)
@@ -264,6 +282,7 @@ def _mean_reports(
         metrics=metrics,
         per_class=per_class,
         parse_failures=int(sum(row["parse_failures"] for row in per_run)),
+        backend_failures=int(sum(row["backend_failures"] for row in per_run)),
         runs=len(per_run),
         seeds=[seed for seed, _, _ in run_outcomes],
         manifest=manifest,
@@ -283,37 +302,6 @@ def resolve_embedder(
     return QuestionRoutedEmbedder(base, adapters)
 
 
-@dataclass
-class Grader:
-    """Everything grading needs besides the responses; see grade_responses."""
-
-    questions: dict[str, Question]
-    scheme: Scheme
-    template: PromptTemplate
-    backend: GlmBackend
-    embedder: BaseEmbedder | None = None
-    store: VectorStore | None = None
-    k: int = 5
-    same_question_only: bool = False
-    params: GenParams | None = None
-    fallback_label: str | None = None
-
-    def grade(self, responses: list[Response]) -> GradingOutcome:
-        return grade_responses(
-            responses,
-            self.questions,
-            self.scheme,
-            self.template,
-            self.backend,
-            embedder=self.embedder,
-            store=self.store,
-            k=self.k,
-            same_question_only=self.same_question_only,
-            params=self.params,
-            fallback_label=self.fallback_label,
-        )
-
-
 def seed_grader(
     corpus: Corpus,
     scenario: str,
@@ -329,9 +317,9 @@ def seed_grader(
 
     ua retrieves same-question examples from the train-split store, a
     rag-fraction run (rag) retrieves corpus-wide, and uq/ud grade
-    without examples.  Adapters not passed in are trained for this seed
-    when config.train_adapter is set; a store not passed in is built
-    with this seed's embedder.
+    without examples.  A grader that retrieves examples trains the
+    adapters not passed in for this seed when config.train_adapter is
+    set, and builds a store not passed in with this seed's embedder.
     """
     with_examples = scenario == "ua" or rag
     template = load_template(
@@ -340,7 +328,7 @@ def seed_grader(
         config.template_style,
     )
     base = base or HashEmbedder(config.embed_dim)
-    if adapters is None and config.train_adapter:
+    if with_examples and adapters is None and config.train_adapter:
         sets = build_training_sets(corpus, config.scheme, config.strategy, config.scope, seed)
         results = train_for_corpus(config.train_config(seed), corpus, sets, base)
         if config.scope is Scope.GLOBAL:
@@ -376,40 +364,58 @@ def run_scenario(
     """Evaluate one test scenario, averaging metrics across config.seeds.
 
     ua grades with retrieved examples against the train-split store
-    (same-question candidates); uq and ud grade without examples, or as
-    a rag-fraction experiment when config.rag_fraction is set.  Any
-    artifact not passed in is built on demand, once per seed.
+    (same-question candidates); uq and ud grade without examples.  With
+    config.rag_fraction set, a uq/ud run is the rag-fraction experiment:
+    each seed samples floor(fraction * |split|) responses uniformly and
+    adds them to the store with their gold judgments, and the remainder
+    is graded with examples over corpus-wide candidates; the adapter is
+    never retrained on the moved fraction.  Any artifact not passed in
+    is built on demand, once per seed, except that a rag-fraction store
+    no trained adapter ties to a seed is built once.
     """
     scenario = scenario.lower()
     if scenario not in SCENARIOS:
         raise HarnessError(f"unknown scenario {scenario!r}")
-    if config.rag_fraction is not None and scenario in ("uq", "ud"):
-        return rag_fraction_experiment(
-            corpus,
-            scenario,
-            config.rag_fraction,
-            config,
-            backend=backend,
-            base=base,
-            adapters=adapters,
-            store=store,
-        )
     responses = list(corpus.split(scenario))
     if not responses:
         raise HarnessError(f"corpus has no {scenario} split")
+    rag = config.rag_fraction is not None and scenario != "ua"
     backend = backend or make_backend(config.backend)
-    run_outcomes = []
+
+    def grader_for(seed: int) -> Grader:
+        return seed_grader(corpus, scenario, config, seed, backend, base, adapters, store, rag)
+
+    # only trained adapters tie a rag-fraction store to a seed; otherwise it is built once
+    trains = adapters is None and config.train_adapter
+    shared = grader_for(config.seeds[0]) if rag and not trains else None
+    run_outcomes, manifest_extra = [], {}
     for seed in config.seeds:
-        grader = seed_grader(corpus, scenario, config, seed, backend, base, adapters, store)
-        outcome = grader.grade(responses)
-        extra = {
-            "response_ids": [r.id for r in responses],
-            "predictions": outcome.predictions,
-        }
-        run_outcomes.append((seed, outcome.confusion(config.scheme), extra))
+        grader = shared or grader_for(seed)
+        graded, extra = responses, {}
+        if rag:
+            rng = np.random.default_rng(seed)
+            n_moved = int(config.rag_fraction * len(responses))
+            moved_idx = set(rng.choice(len(responses), size=n_moved, replace=False).tolist())
+            moved = [r for i, r in enumerate(responses) if i in moved_idx]
+            graded = [r for i, r in enumerate(responses) if i not in moved_idx]
+            manifest_extra = {
+                "rag_fraction": config.rag_fraction,
+                "base_store_entries": len(grader.store),
+            }
+            entries = [entry_from_response(r, grader.embedder) for r in moved]
+            grader = dataclasses.replace(grader, store=grader.store.extended(entries))
+            del entries  # the extended store holds them until this seed ends
+            extra = {
+                "moved_to_store": len(moved),
+                "scored": len(graded),
+                "moved_ids": [r.id for r in moved],
+            }
+        outcome = grade_responses(grader, graded)
+        extra.update(response_ids=[r.id for r in graded], predictions=outcome.predictions)
+        run_outcomes.append((seed, outcome, extra))
         template = grader.template
         del grader  # free this seed's store before the next seed builds one
-    return _mean_reports(scenario, config, corpus, template, run_outcomes)
+    return _mean_reports(scenario, config, corpus, template, run_outcomes, **manifest_extra)
 
 
 def rag_fraction_experiment(
@@ -422,57 +428,19 @@ def rag_fraction_experiment(
     adapters: dict[str, Adapter] | Adapter | None = None,
     store: VectorStore | None = None,
 ) -> EvalReport:
-    """Move a seeded fraction of a shifted test split into the store, then grade.
-
-    floor(fraction * |split|) responses are sampled uniformly per seed and
-    added to the store with their gold judgments; the remainder is graded
-    with the with-examples template over corpus-wide candidates.  The
-    adapter is never retrained on the moved fraction.
-    """
-    scenario = scenario.lower()
-    if scenario not in ("uq", "ud"):
+    """run_scenario on a uq or ud split with config.rag_fraction set to fraction."""
+    if scenario.lower() not in ("uq", "ud"):
         raise HarnessError("rag-fraction experiments run on the uq or ud scenario")
     if not (0.0 < fraction < 1.0):
         raise HarnessError("fraction must lie strictly between 0 and 1")
-    responses = list(corpus.split(scenario))
-    if not responses:
-        raise HarnessError(f"corpus has no {scenario} split")
-    backend = backend or make_backend(config.backend)
-    # only trained adapters tie the store to a seed; otherwise it is built once
-    trains = adapters is None and config.train_adapter
-    shared = None if trains else seed_grader(
-        corpus, scenario, config, config.seeds[0], backend, base, adapters, store, rag=True
-    )
-    run_outcomes = []
-    for seed in config.seeds:
-        grader = shared or seed_grader(
-            corpus, scenario, config, seed, backend, base, adapters, store, rag=True
-        )
-        rng = np.random.default_rng(seed)
-        n_moved = int(fraction * len(responses))
-        moved_idx = set(rng.choice(len(responses), size=n_moved, replace=False).tolist())
-        moved = [r for i, r in enumerate(responses) if i in moved_idx]
-        held_out = [r for i, r in enumerate(responses) if i not in moved_idx]
-        extended = grader.store.extended([entry_from_response(r, grader.embedder) for r in moved])
-        outcome = dataclasses.replace(grader, store=extended).grade(held_out)
-        extra = {
-            "moved_to_store": len(moved),
-            "scored": len(held_out),
-            "moved_ids": [r.id for r in moved],
-            "response_ids": [r.id for r in held_out],
-            "predictions": outcome.predictions,
-        }
-        run_outcomes.append((seed, outcome.confusion(config.scheme), extra))
-        template, base_entries = grader.template, len(grader.store)
-        del grader, extended  # free a trained seed's store before the next one
-    return _mean_reports(
-        scenario,
-        config,
+    return run_scenario(
         corpus,
-        template,
-        run_outcomes,
-        rag_fraction=fraction,
-        base_store_entries=base_entries,
+        scenario,
+        dataclasses.replace(config, rag_fraction=fraction),
+        backend=backend,
+        base=base,
+        adapters=adapters,
+        store=store,
     )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .corpus import Corpus, Scheme
 from .embedding import BaseEmbedder
 from .glm import GenParams, GlmBackend
-from .harness import Grader
+from .harness import Grader, grade_responses
 from .metrics import accuracy, macro_f1, weighted_f1
 from .prompts import PromptError, PromptTemplate, load_critic_meta_prompt
 from .vstore import VectorStore
@@ -172,7 +172,7 @@ class PromptEvaluator:
         key = (template.sha256, self.dev_set_id)
         if key in self.cache:
             return self.cache[key]
-        outcome = replace(self.grader, template=template).grade(self.dev_set)
+        outcome = grade_responses(replace(self.grader, template=template), self.dev_set)
         value = float(self.metric(outcome.confusion(self.grader.scheme)))
         self.cache[key] = value
         self.evaluations += 1

@@ -30,10 +30,6 @@ class PromptError(Exception):
     pass
 
 
-def task_scheme(task: str) -> Scheme:
-    return {"SB3": Scheme.THREE_WAY, "SB2": Scheme.TWO_WAY, "BEETLE5": Scheme.FIVE_WAY}[task]
-
-
 def scheme_task(scheme: Scheme) -> str:
     return {Scheme.THREE_WAY: "SB3", Scheme.TWO_WAY: "SB2", Scheme.FIVE_WAY: "BEETLE5"}[scheme]
 

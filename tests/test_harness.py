@@ -1,12 +1,24 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+import ragrade.harness
 from conftest import make_corpus
 from ragrade.corpus import Label, Scheme, collapse_label
 from ragrade.embedding import Adapter, HashEmbedder
-from ragrade.glm import MockBackend
+from ragrade.glm import (
+    AuthError,
+    GenParams,
+    MockBackend,
+    NonRetryableError,
+    RateLimiter,
+    RemoteBackend,
+)
 from ragrade.harness import (
     ExperimentConfig,
+    Grader,
     HarnessError,
     format_report_table,
     grade_responses,
@@ -70,8 +82,7 @@ class TestGradeResponses:
         embedder = HashEmbedder(64)
         store = build_store(list(tiny_corpus.split("train")), embedder)
         template = load_template("SB3", "with_examples", "cpg")
-        outcome = grade_responses(
-            list(tiny_corpus.split("ua")),
+        grader = Grader(
             tiny_corpus.questions,
             Scheme.THREE_WAY,
             template,
@@ -81,6 +92,7 @@ class TestGradeResponses:
             k=3,
             same_question_only=True,
         )
+        outcome = grade_responses(grader, list(tiny_corpus.split("ua")))
         expected = nearest_neighbor_predictions(
             list(tiny_corpus.split("ua")),
             store,
@@ -93,13 +105,8 @@ class TestGradeResponses:
 
     def test_without_examples_needs_no_store(self, tiny_corpus):
         template = load_template("SB3", "without_examples", "cpg")
-        outcome = grade_responses(
-            list(tiny_corpus.split("uq")),
-            tiny_corpus.questions,
-            Scheme.THREE_WAY,
-            template,
-            MockBackend(),
-        )
+        grader = Grader(tiny_corpus.questions, Scheme.THREE_WAY, template, MockBackend())
+        outcome = grade_responses(grader, list(tiny_corpus.split("uq")))
         # mock has no examples to echo: every verdict is "incorrect"
         assert set(outcome.predictions) == {"incorrect"}
 
@@ -109,14 +116,10 @@ class TestGradeResponses:
                 return "hmm, tricky one"
 
         template = load_template("SB3", "without_examples", "cpg")
-        outcome = grade_responses(
-            list(tiny_corpus.split("uq")),
-            tiny_corpus.questions,
-            Scheme.THREE_WAY,
-            template,
-            Mumbler(),
-            fallback_label="incorrect",
+        grader = Grader(
+            tiny_corpus.questions, Scheme.THREE_WAY, template, Mumbler(), fallback_label="incorrect"
         )
+        outcome = grade_responses(grader, list(tiny_corpus.split("uq")))
         assert outcome.parse_failures == len(tiny_corpus.split("uq"))
         assert set(outcome.predictions) == {"incorrect"}
 
@@ -128,13 +131,8 @@ class TestGradeResponses:
                 return "no verdict here"
 
         template = load_template("BEETLE5", "without_examples", "cpg")
-        outcome = grade_responses(
-            list(tiny_corpus.split("uq")),
-            tiny_corpus.questions,
-            Scheme.FIVE_WAY,
-            template,
-            Mumbler(),
-        )
+        grader = Grader(tiny_corpus.questions, Scheme.FIVE_WAY, template, Mumbler())
+        outcome = grade_responses(grader, list(tiny_corpus.split("uq")))
         assert set(outcome.predictions) == {"non-domain"}
         from ragrade.metrics import ConfusionMatrix
 
@@ -297,6 +295,106 @@ class TestRagFraction:
         direct = rag_fraction_experiment(corpus, "uq", 0.4, config)
         assert via_scenario.metrics == direct.metrics
         assert via_scenario.per_run[0]["moved_to_store"] == direct.per_run[0]["moved_to_store"]
+
+    @pytest.mark.parametrize("train", [False, True], ids=["plain", "trained"])
+    def test_experiment_is_run_scenario_with_the_fraction_set(self, tiny_corpus, train):
+        config = ExperimentConfig(
+            scheme=Scheme.THREE_WAY,
+            seeds=(1, 2),
+            embed_dim=32,
+            train_adapter=train,
+            epochs=1,
+            learning_rate=0.5,
+            scope=Scope.GLOBAL,
+            loss=LossKind.COSINE_SIMILARITY,
+        )
+        direct = rag_fraction_experiment(tiny_corpus, "uq", 0.4, config)
+        via_scenario = run_scenario(
+            tiny_corpus, "uq", dataclasses.replace(config, rag_fraction=0.4)
+        )
+        assert json.dumps(direct.as_dict()) == json.dumps(via_scenario.as_dict())
+
+
+def _train_spy(monkeypatch) -> list[int]:
+    """Seeds of every train_for_corpus call the harness makes."""
+    seeds = []
+    real = ragrade.harness.train_for_corpus
+
+    def spy(config, *args, **kwargs):
+        seeds.append(config.seed)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(ragrade.harness, "train_for_corpus", spy)
+    return seeds
+
+
+class TestAdapterTraining:
+    @pytest.mark.parametrize(
+        "scenario, rag_fraction, trained_seeds",
+        [("uq", None, []), ("ua", None, [1, 2, 3]), ("uq", 0.5, [1, 2, 3])],
+        ids=["uq", "ua", "uq-rag-fraction"],
+    )
+    def test_trains_only_for_graders_that_retrieve(
+        self, tiny_corpus, monkeypatch, scenario, rag_fraction, trained_seeds
+    ):
+        seeds = _train_spy(monkeypatch)
+        config = ExperimentConfig(
+            seeds=(1, 2, 3), embed_dim=32, train_adapter=True, epochs=1, rag_fraction=rag_fraction
+        )
+        run_scenario(tiny_corpus, scenario, config)
+        assert seeds == trained_seeds
+
+
+class _FakeResponse:
+    def __init__(self, status_code, text=""):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return {"text": self.text}
+
+
+class _OnePromptDown:
+    """Session that answers like the mock model, except 503 to one prompt."""
+
+    def __init__(self):
+        self.doomed = None
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["prompt"]
+        self.doomed = self.doomed or prompt
+        if prompt == self.doomed:
+            return _FakeResponse(503)
+        return _FakeResponse(200, MockBackend().complete(prompt, GenParams()))
+
+
+class TestBackendFailures:
+    def test_retry_exhausted_costs_one_verdict_not_the_run(self, tiny_corpus):
+        backend = RemoteBackend(
+            "http://fake.invalid/complete",
+            session=_OnePromptDown(),
+            sleep=lambda s: None,
+            limiter=RateLimiter(requests_per_second=1e6),
+        )
+        config = ExperimentConfig(scheme=Scheme.THREE_WAY, seeds=(1, 2, 3), k=3, embed_dim=64)
+        report = run_scenario(tiny_corpus, "ua", config, backend=backend)
+        clean = run_scenario(tiny_corpus, "ua", config)
+        assert report.backend_failures == 3
+        assert report.parse_failures == 0
+        for row, clean_row in zip(report.per_run, clean.per_run):
+            assert row["backend_failures"] == 1
+            assert row["predictions"][0] == "incorrect"  # the scheme's fallback
+            assert row["predictions"][1:] == clean_row["predictions"][1:]
+        assert clean.backend_failures == 0
+
+    @pytest.mark.parametrize("error", [AuthError, NonRetryableError])
+    def test_other_backend_errors_still_raise(self, tiny_corpus, error):
+        class Refuses:
+            def complete(self, prompt, params):
+                raise error("no")
+
+        with pytest.raises(error):
+            run_scenario(tiny_corpus, "ua", CFG, backend=Refuses())
 
 
 class TestConfig:
