@@ -28,8 +28,6 @@ from .embedding import (
     HashEmbedder,
     QuestionRoutedEmbedder,
     RemoteEmbedder,
-    adapter_embed,
-    cosine,
 )
 from .glm import (
     GenParams,
@@ -48,7 +46,6 @@ from .harness import (
     Grader,
     format_report_table,
     grade_responses,
-    nearest_neighbor_predictions,
     rag_fraction_experiment,
     resolve_embedder,
     run_scenario,

@@ -1,4 +1,4 @@
-"""Text embedders, cosine similarity, and the trainable linear adapter.
+"""Text embedders and the trainable linear adapter.
 
 The base embedder is pluggable: a deterministic feature-hashing embedder
 works fully offline, and a remote HTTP embedder can stand in for any
@@ -22,17 +22,6 @@ DEFAULT_DIM = 384
 
 class EmbeddingError(Exception):
     pass
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity u.v / (|u||v|), in [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise EmbeddingError("cosine of a zero-norm vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 class BaseEmbedder:
@@ -197,11 +186,6 @@ class Adapter:
             )
         weights = np.frombuffer(payload, dtype="<f8").reshape(dim, dim).copy()
         return cls(weights=weights, trained_on=header.get("trained_on", {}))
-
-
-def adapter_embed(adapter: Adapter, base: BaseEmbedder, text: str) -> np.ndarray:
-    """normalize(W @ base.embed(text))."""
-    return adapter.apply(base.embed(text))
 
 
 class AdaptedEmbedder(BaseEmbedder):

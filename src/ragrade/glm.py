@@ -200,7 +200,7 @@ class RemoteBackend(GlmBackend):
         import requests
 
         payload = {
-            "model": params.model_id or os.environ.get(ENV_MODEL, "default"),
+            "model": _model_sent(params.model_id),
             "prompt": prompt,
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,
@@ -256,21 +256,41 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _model_sent(model_id: str | None) -> str:
+    """The model RemoteBackend requests: model_id, else $RAGRADE_GLM_MODEL, else "default"."""
+    return model_id or os.environ.get(ENV_MODEL, "default")
+
+
 class ReplayBackend(GlmBackend):
-    """Serves completions recorded by RemoteBackend, keyed by prompt hash."""
+    """Serves completions recorded by RemoteBackend.
+
+    A completion is keyed on the prompt hash, the model sent and the
+    temperature, so a run with another model or temperature is refused
+    rather than served a completion made for different settings.  A
+    record without a model or temperature counts as made with the
+    defaults RemoteBackend would send.
+    """
 
     def __init__(self, log_path: str | Path):
-        self.completions: dict[str, str] = {}
+        self.completions: dict[tuple[str, str, float], str] = {}
         with Path(log_path).open(encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
                     record = json.loads(line)
-                    self.completions[record["prompt_sha256"]] = record["completion"]
+                    key = (
+                        record["prompt_sha256"],
+                        _model_sent(record.get("model")),
+                        record.get("temperature", 0.0),
+                    )
+                    self.completions[key] = record["completion"]
 
     def complete(self, prompt: str, params: GenParams) -> str:
-        key = prompt_digest(prompt)
+        key = (prompt_digest(prompt), _model_sent(params.model_id), params.temperature)
         if key not in self.completions:
-            raise GlmError(f"no recorded completion for prompt hash {key[:12]}...")
+            raise GlmError(
+                f"no recorded completion for prompt hash {key[0][:12]}... "
+                f"with model {key[1]!r} at temperature {key[2]}"
+            )
         return self.completions[key]
 
 

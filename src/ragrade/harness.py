@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Label, Question, Response, Scheme, collapse_label
+from .corpus import Corpus, Question, Response, Scheme, collapse_label
 from .embedding import (
     DEFAULT_DIM,
     AdaptedEmbedder,
@@ -456,21 +456,3 @@ def format_report_table(reports: list[EvalReport]) -> str:
         )
     return "\n".join(lines)
 
-
-def nearest_neighbor_predictions(
-    responses: list[Response],
-    store: VectorStore,
-    embedder: BaseEmbedder,
-    scheme: Scheme,
-    same_question_only: bool = False,
-) -> list[str]:
-    """Top-1 cosine neighbor's collapsed judgment for each response.
-
-    This is what the mock-backend pipeline must reproduce exactly.
-    """
-    retrieval = RetrievalConfig(k=1, same_question_only=same_question_only)
-    out = []
-    for r in responses:
-        (entry, _score), = top_k(store, r.text, embedder, retrieval, question_id=r.question_id)
-        out.append(collapse_label(Label.parse(entry.metadata["judgment"]), scheme))
-    return out

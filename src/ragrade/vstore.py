@@ -1,16 +1,20 @@
 """Vector store of embedded graded responses with exact cosine top-k.
 
-Entries are unit vectors (rows of one matrix) plus JSON metadata holding
-the original response text and its judgment.  Retrieval is an exact
-matrix product over the candidate rows: no approximation, descending
-score, ties broken by ascending entry index.  Vectors are held in
-float32, which makes save/load byte-stable; scoring runs in float64.
+Entries are unit vectors plus JSON metadata holding the original
+response text and its judgment.  A store is immutable once built: its
+constructor (and so build_store, load and extended) stacks the entry
+vectors once into one contiguous read-only float32 (N, dim) matrix and
+indexes the rows by question_id, and every query reuses both.
+Retrieval is an exact matrix product over the candidate rows, cast to
+float64 per query: no approximation, descending score, ties broken by
+ascending entry index.  Holding vectors in float32 makes save/load
+byte-stable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +46,11 @@ class Entry:
         object.__setattr__(self, "vector", vec)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VectorStore:
     dim: int
     embedder_id: str
-    entries: list[Entry] = field(default_factory=list)
+    entries: tuple[Entry, ...] = ()
 
     def __post_init__(self):
         for e in self.entries:
@@ -54,20 +58,27 @@ class VectorStore:
                 raise StoreError(
                     f"entry vector shape {e.vector.shape} != store dim {self.dim}"
                 )
+        entries = tuple(self.entries)
+        matrix = np.array([e.vector for e in entries], np.float32).reshape(len(entries), self.dim)
+        matrix.flags.writeable = False
+        rows: dict[str | None, list[int]] = {}
+        for i, e in enumerate(entries):
+            rows.setdefault(e.metadata.get("question_id"), []).append(i)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_rows", {q: np.array(r, dtype=np.intp) for q, r in rows.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def matrix(self) -> np.ndarray:
-        """Entry vectors stacked as rows (float32); empty store gives (0, dim)."""
-        if not self.entries:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        return np.stack([e.vector for e in self.entries])
+        """Entry vectors as rows of the store's read-only float32 (N, dim) matrix."""
+        return self._matrix
 
     def extended(self, extra: list[Entry]) -> "VectorStore":
         """New store with extra entries appended; self is unchanged."""
         return VectorStore(
-            dim=self.dim, embedder_id=self.embedder_id, entries=self.entries + list(extra)
+            dim=self.dim, embedder_id=self.embedder_id, entries=(*self.entries, *extra)
         )
 
     def save(self, path: str | Path) -> None:
@@ -85,8 +96,7 @@ class VectorStore:
                     json.dumps(e.metadata, sort_keys=True, ensure_ascii=False).encode("utf-8")
                     + b"\n"
                 )
-            if self.entries:
-                fh.write(np.ascontiguousarray(self.matrix(), dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(self._matrix, dtype="<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
@@ -114,6 +124,11 @@ class VectorStore:
                 f"got {len(payload)}"
             )
         vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+        norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # also NaN
+        if bad.size:
+            row = int(bad[0])
+            raise StoreError(f"{path}: row {row}: entry vector norm {norms[row]} is not unit")
         entries = []
         for i in range(count):
             try:
@@ -162,33 +177,33 @@ def build_store(
         raise StoreError("question metadata requested but no question map given")
     entries = []
     for r in responses:
-        try:
-            vec = embedder.embed_scoped(r.text, r.question_id)
-        except Exception as exc:
-            raise StoreError(f"embedding failed for response {r.id!r}: {exc}") from exc
-        metadata = {
-            "response_text": r.text,
-            "judgment": r.label.value,
-            "response_id": r.id,
-            "question_id": r.question_id,
-        }
+        entry = entry_from_response(r, embedder)
         if include_question:
-            metadata["question"] = questions[r.question_id].text
+            entry.metadata["question"] = questions[r.question_id].text
         if include_reference:
             refs = questions[r.question_id].reference_answers
             if refs:
-                metadata["reference_answer"] = "\n".join(refs)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise StoreError(f"embedding failed for response {r.id!r}: zero vector")
-        entries.append(Entry(vector=np.asarray(vec) / norm, metadata=metadata))
-    dim = embedder.dim
-    return VectorStore(dim=dim, embedder_id=embedder.embedder_id, entries=entries)
+                entry.metadata["reference_answer"] = "\n".join(refs)
+        entries.append(entry)
+    return VectorStore(dim=embedder.dim, embedder_id=embedder.embedder_id, entries=entries)
 
 
 def entry_from_response(response: Response, embedder: BaseEmbedder) -> Entry:
-    """The entry build_store makes for one response."""
-    return build_store([response], embedder).entries[0]
+    """One response's entry: unit embedding, text, judgment and ids (build_store may add more)."""
+    try:
+        vec = embedder.embed_scoped(response.text, response.question_id)
+    except Exception as exc:
+        raise StoreError(f"embedding failed for response {response.id!r}: {exc}") from exc
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise StoreError(f"embedding failed for response {response.id!r}: zero vector")
+    metadata = {
+        "response_text": response.text,
+        "judgment": response.label.value,
+        "response_id": response.id,
+        "question_id": response.question_id,
+    }
+    return Entry(vector=np.asarray(vec) / norm, metadata=metadata)
 
 
 def top_k(
@@ -200,23 +215,18 @@ def top_k(
 ) -> list[tuple[Entry, float]]:
     """Exact cosine top-k over the store's candidate entries.
 
-    With same_question_only, candidates are restricted to entries whose
-    question_id matches the query's.  Scores are the full matrix product
-    of candidate rows with the unit query vector, sorted descending with
-    ascending-index tie-break.  Fewer than k candidates return them all;
-    zero candidates is an error.
+    With same_question_only, candidates are the store's indexed rows whose
+    question_id matches the query's.  Scores are the product of the
+    candidate rows, cast to float64, with the unit query vector, sorted
+    descending with ascending-index tie-break.  Fewer than k candidates
+    return them all; zero candidates is an error.
     """
+    matrix, rows = store._matrix, None
     if config.same_question_only:
         if question_id is None:
             raise StoreError("same_question_only retrieval needs the query's question_id")
-        candidates = [
-            i
-            for i, e in enumerate(store.entries)
-            if e.metadata.get("question_id") == question_id
-        ]
-    else:
-        candidates = list(range(len(store.entries)))
-    if not candidates:
+        rows = store._rows.get(question_id)
+    if not len(matrix) or (config.same_question_only and rows is None):
         raise StoreError("no candidate entries after scope filtering")
 
     query = np.asarray(embedder.embed_scoped(query_text, question_id), dtype=np.float64)
@@ -225,7 +235,9 @@ def top_k(
         raise StoreError("query embedded to the zero vector")
     query = query / norm
 
-    matrix = store.matrix().astype(np.float64)[candidates]
-    scores = matrix @ query
+    if rows is not None:
+        matrix = matrix[rows]
+    scores = matrix.astype(np.float64) @ query
     order = np.argsort(-scores, kind="stable")[: config.k]
-    return [(store.entries[candidates[i]], float(scores[i])) for i in order]
+    picked = order if rows is None else rows[order]
+    return [(store.entries[i], float(scores[j])) for i, j in zip(picked, order)]

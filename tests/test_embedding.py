@@ -12,9 +12,23 @@ from ragrade.embedding import (
     HashEmbedder,
     QuestionRoutedEmbedder,
     RemoteEmbedder,
-    adapter_embed,
-    cosine,
 )
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity u.v / (|u||v|), in [-1, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise EmbeddingError("cosine of a zero-norm vector is undefined")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def adapter_embed(adapter: Adapter, base, text: str) -> np.ndarray:
+    """normalize(W @ base.embed(text))."""
+    return adapter.apply(base.embed(text))
 
 
 class TestHashEmbedder:

@@ -9,6 +9,7 @@ from ragrade.corpus import Scheme
 from ragrade.glm import (
     AuthError,
     GenParams,
+    GlmError,
     MockBackend,
     NonRetryableError,
     ParseFailure,
@@ -241,6 +242,48 @@ class TestRemoteBackend:
 
         with pytest.raises(GlmError, match="no recorded completion"):
             replay.complete("never seen", PARAMS)
+
+
+class TestReplayBackend:
+    """Replay serves a completion only for the prompt, model and temperature it was made with."""
+
+    def test_keys_on_model_and_temperature(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        digest = prompt_digest("p")
+        records = [
+            {"prompt_sha256": digest, "model": "m1", "temperature": 0.0, "completion": "m1 cold"},
+            {"prompt_sha256": digest, "model": "m2", "temperature": 0.0, "completion": "m2 cold"},
+            {"prompt_sha256": digest, "model": "m1", "temperature": 0.7, "completion": "m1 warm"},
+        ]
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        replay = ReplayBackend(log)
+        assert replay.complete("p", GenParams(model_id="m1")) == "m1 cold"
+        assert replay.complete("p", GenParams(model_id="m2")) == "m2 cold"
+        assert replay.complete("p", GenParams(temperature=0.7, model_id="m1")) == "m1 warm"
+
+    @pytest.mark.parametrize(
+        "params",
+        [GenParams(model_id="m2"), GenParams(temperature=0.7, model_id="m1")],
+        ids=["other-model", "other-temperature"],
+    )
+    def test_mismatch_has_no_recorded_completion(self, glm_server, tmp_path, params):
+        log = tmp_path / "log.jsonl"
+        backend, _ = fast_backend(glm_server, log_path=log)
+        backend.complete("p", GenParams(model_id="m1"))
+        with pytest.raises(GlmError, match="no recorded completion"):
+            ReplayBackend(log).complete("p", params)
+
+    def test_model_resolved_like_remote(self, glm_server, tmp_path, monkeypatch):
+        monkeypatch.setenv("RAGRADE_GLM_MODEL", "model-from-env")
+        log = tmp_path / "log.jsonl"
+        backend, _ = fast_backend(glm_server, log_path=log)
+        first = backend.complete("p", PARAMS)
+        replay = ReplayBackend(log)
+        assert replay.complete("p", PARAMS) == first
+        assert replay.complete("p", GenParams(model_id="model-from-env")) == first
+        monkeypatch.delenv("RAGRADE_GLM_MODEL")
+        with pytest.raises(GlmError, match="no recorded completion"):
+            replay.complete("p", PARAMS)
 
 
 class TestRateLimiter:

@@ -22,14 +22,28 @@ from ragrade.harness import (
     HarnessError,
     format_report_table,
     grade_responses,
-    nearest_neighbor_predictions,
     rag_fraction_experiment,
     run_scenario,
 )
 from ragrade.losses import LossKind
 from ragrade.pairs import Scope, Strategy
 from ragrade.prompts import load_template
-from ragrade.vstore import build_store
+from ragrade.vstore import RetrievalConfig, build_store, top_k
+
+
+def nearest_neighbor_predictions(
+    responses, store, embedder, scheme, same_question_only=False
+) -> list[str]:
+    """Top-1 cosine neighbor's collapsed judgment for each response.
+
+    This is what the mock-backend pipeline must reproduce exactly.
+    """
+    retrieval = RetrievalConfig(k=1, same_question_only=same_question_only)
+    out = []
+    for r in responses:
+        (entry, _score), = top_k(store, r.text, embedder, retrieval, question_id=r.question_id)
+        out.append(collapse_label(Label.parse(entry.metadata["judgment"]), scheme))
+    return out
 
 
 def oracle_corpus():

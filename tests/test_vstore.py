@@ -206,6 +206,112 @@ class TestTopK:
         ]
 
 
+def restacked_top_k(store, query, k, question_id=None):
+    """The per-query formula top_k replaced: re-stack every entry vector, cast
+    to float64, score the candidate rows, stable descending sort."""
+    if question_id is None:
+        candidates = list(range(len(store.entries)))
+    else:
+        candidates = [
+            i for i, e in enumerate(store.entries) if e.metadata.get("question_id") == question_id
+        ]
+    query = np.asarray(query, dtype=np.float64)
+    query = query / np.linalg.norm(query)
+    matrix = np.stack([e.vector for e in store.entries]).astype(np.float64)[candidates]
+    scores = matrix @ query
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(store.entries[candidates[i]], float(scores[i])) for i in order]
+
+
+def mixed_store(seed, n=300, dim=24, questions=7):
+    """Entries of interleaved questions; rows 200-219 duplicate rows 0-19, so scores tie."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, dim))
+    vectors[200:220] = vectors[:20]
+    qids = rng.integers(questions, size=n)
+    qids[200:220] = qids[:20]
+    entries = [entry(vectors[i], response_id=f"e{i}", question_id=f"q{qids[i]}") for i in range(n)]
+    return VectorStore(dim=dim, embedder_id="fixed", entries=entries), rng
+
+
+class TestTopKMatchesRestacking:
+    """top_k returns the very entries and bitwise the scores of the re-stacking formula."""
+
+    K = 5
+
+    def queries(self, store, rng):
+        planted = [store.entries[i].vector.astype(np.float64) for i in range(0, 20, 4)]
+        return planted + [rng.normal(size=store.dim) for _ in range(15)]
+
+    def assert_same(self, store, rng):
+        question_ids = sorted({e.metadata["question_id"] for e in store.entries})
+        for n, q in enumerate(self.queries(store, rng)):
+            embedder = FixedEmbedder({"q": q}, dim=store.dim)
+            qid = question_ids[n % len(question_ids)]
+            same = top_k(
+                store, "q", embedder, RetrievalConfig(k=self.K, same_question_only=True),
+                question_id=qid,
+            )
+            wide = top_k(store, "q", embedder, RetrievalConfig(k=self.K), question_id=qid)
+            for got, expected in (
+                (same, restacked_top_k(store, q, self.K, qid)),
+                (wide, restacked_top_k(store, q, self.K)),
+            ):
+                assert [id(e) for e, _ in got] == [id(e) for e, _ in expected]
+                assert [s for _, s in got] == [s for _, s in expected]
+
+    def test_built_store(self):
+        self.assert_same(*mixed_store(11))
+
+    def test_planted_ties_reach_the_top(self):
+        store, rng = mixed_store(12)
+        q = store.entries[0].vector.astype(np.float64)
+        results = top_k(store, "q", FixedEmbedder({"q": q}, dim=store.dim), RetrievalConfig(k=2))
+        assert [e.metadata["response_id"] for e, _ in results] == ["e0", "e200"]
+        assert results[0][1] == results[1][1]
+
+    def test_extended_store(self):
+        store, rng = mixed_store(13)
+        extra, _ = mixed_store(14, n=240)
+        self.assert_same(store.extended(list(extra.entries)), rng)
+
+    def test_loaded_store(self, tmp_path):
+        store, rng = mixed_store(15)
+        path = tmp_path / "s.vdb"
+        store.save(path)
+        self.assert_same(VectorStore.load(path), rng)
+
+    def test_queries_reuse_the_prebuilt_matrix_and_index(self, monkeypatch):
+        """Neither the matrix nor the question index is rebuilt per query:
+        top_k may index entries but never scan them, and stacks nothing."""
+
+        class NoScan(tuple):
+            def __iter__(self):
+                raise AssertionError("top_k scanned every entry")
+
+        store, rng = mixed_store(16)
+        matrix = store.matrix()
+        object.__setattr__(store, "entries", NoScan(store.entries))
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("top_k stacked vectors")
+
+        monkeypatch.setattr(np, "stack", no_stack)
+        for n in range(10):
+            embedder = FixedEmbedder({"q": rng.normal(size=store.dim)}, dim=store.dim)
+            top_k(store, "q", embedder, RetrievalConfig(k=3, same_question_only=True),
+                  question_id=f"q{n % 7}")
+            top_k(store, "q", embedder, RetrievalConfig(k=3))
+        assert store.matrix() is matrix
+
+    def test_store_is_immutable(self):
+        store, _ = mixed_store(17)
+        with pytest.raises(ValueError):
+            store.matrix()[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            store.entries = ()
+
+
 class TestSaveLoad:
     def test_empty_round_trip(self, tmp_path):
         store = VectorStore(dim=4, embedder_id="x")
@@ -344,6 +450,17 @@ class TestLoadRejectsMalformedFiles:
         payload = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype="<f4").tobytes()
         saved.write_bytes(b"\n".join([header, meta_a, meta_b, payload]))
         self.assert_rejected(saved, "row 0.*not unit")
+
+    def test_several_bad_rows_name_the_first(self, tmp_path):
+        store = VectorStore(
+            dim=2, embedder_id="x", entries=[entry([1.0, 0.0], response_id=f"e{i}") for i in range(4)]
+        )
+        path = tmp_path / "s.vdb"
+        store.save(path)
+        data = path.read_bytes()
+        payload = np.array([[1.0, 0.0], [0.5, 0.5], [np.nan, 0.0], [2.0, 0.0]], dtype="<f4")
+        path.write_bytes(data[: -payload.nbytes] + payload.tobytes())
+        self.assert_rejected(path, "row 1: .*not unit")
 
     def test_valid_file_still_loads_byte_stable(self, saved, tmp_path):
         again = tmp_path / "again.vdb"
