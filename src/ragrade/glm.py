@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -69,6 +70,10 @@ class ParseFailure(GlmError):
 
 
 class GlmBackend:
+    # requests harness.grade_responses may keep in flight; 1 runs every
+    # call inline on the calling thread, in response order
+    concurrency = 1
+
     def complete(self, prompt: str, params: GenParams) -> str:
         raise NotImplementedError
 
@@ -113,6 +118,7 @@ class RateLimiter:
         if requests_per_second <= 0 or max_in_flight < 1:
             raise ValueError("requests_per_second must be > 0 and max_in_flight >= 1")
         self.interval = 1.0 / requests_per_second
+        self.max_in_flight = max_in_flight
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
         self._next_start = self._clock()
@@ -149,16 +155,34 @@ def _lookup_path(obj, dotted: str):
 RETRYABLE_STATUS = (408, 429, 500, 502, 503, 504, 529)
 
 
+def _retry_after(resp) -> float:
+    """Seconds a 429 or 503 asks the client to wait (RFC 9110 §10.2.3).
+
+    Only the delta-seconds form is read; a missing header, an HTTP-date
+    or anything else that is not a non-negative integer counts as 0, as
+    does a response object from an injected session that has no headers.
+    """
+    if resp.status_code not in (429, 503):
+        return 0.0
+    value = (getattr(resp, "headers", {}).get("Retry-After") or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
+
+
 class RemoteBackend(GlmBackend):
     """JSON-over-HTTP completion client.
 
     Request: {"model", "prompt", "temperature", "max_tokens"}; the
     completion text is extracted from the response JSON at a dotted field
-    path (default "text").  Transient failures are retried with
-    exponential backoff up to max_attempts total attempts; 401/403 raise
-    AuthError immediately and other non-retryable statuses raise
-    NonRetryableError.  Endpoint, credential, model, and field path come
-    from arguments or the RAGRADE_GLM_* environment variables.
+    path (default "text").  Transient failures are retried up to
+    max_attempts total attempts, after an exponential backoff scaled by a
+    random factor in [1, 1.5) so that concurrent callers do not retry in
+    lockstep, or after a longer Retry-After sent with a 429 or 503;
+    401/403 raise AuthError immediately and other non-retryable statuses
+    raise NonRetryableError.  Endpoint, credential, model, and field path
+    come from arguments or the RAGRADE_GLM_* environment variables.
+
+    The limiter's max_in_flight is also the backend's concurrency, so an
+    injected session must be safe for concurrent post calls.
     """
 
     def __init__(
@@ -190,6 +214,10 @@ class RemoteBackend(GlmBackend):
         self._session = session
         self._sleep = sleep
 
+    @property
+    def concurrency(self) -> int:
+        return self.limiter.max_in_flight
+
     def _post(self, payload, headers):
         import requests
 
@@ -209,20 +237,22 @@ class RemoteBackend(GlmBackend):
         if self.api_key:
             headers["authorization"] = f"Bearer {self.api_key}"
 
-        last_failure = None
+        last_failure, retry_after = None, 0.0
         for attempt in range(1, self.max_attempts + 1):
             if attempt > 1:
-                self._sleep(self.backoff_base * 2 ** (attempt - 2))
+                backoff = self.backoff_base * 2 ** (attempt - 2) * (1 + 0.5 * random.random())
+                self._sleep(max(backoff, retry_after))
             try:
                 with self.limiter:
                     resp = self._post(payload, headers)
             except requests.RequestException as exc:
-                last_failure = f"transport error: {exc}"
+                last_failure, retry_after = f"transport error: {exc}", 0.0
                 continue
             if resp.status_code in (401, 403):
                 raise AuthError(f"authentication failed with status {resp.status_code}")
             if resp.status_code in RETRYABLE_STATUS:
                 last_failure = f"status {resp.status_code}"
+                retry_after = _retry_after(resp)
                 continue
             if resp.status_code != 200:
                 raise NonRetryableError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
@@ -246,6 +276,7 @@ class RemoteBackend(GlmBackend):
             "prompt": payload["prompt"],
             "model": payload["model"],
             "temperature": payload["temperature"],
+            "max_tokens": payload["max_tokens"],
             "completion": completion,
         }
         with self._log_lock, self.log_path.open("a", encoding="utf-8") as fh:
@@ -264,15 +295,16 @@ def _model_sent(model_id: str | None) -> str:
 class ReplayBackend(GlmBackend):
     """Serves completions recorded by RemoteBackend.
 
-    A completion is keyed on the prompt hash, the model sent and the
-    temperature, so a run with another model or temperature is refused
-    rather than served a completion made for different settings.  A
-    record without a model or temperature counts as made with the
-    defaults RemoteBackend would send.
+    A completion is keyed on the prompt hash, the model sent, the
+    temperature and max_tokens, so a run with other settings is refused
+    rather than served a completion made for different ones.  A record
+    without a model, temperature or max_tokens counts as made with the
+    defaults RemoteBackend would send.  Keys do not depend on the order
+    of the log's lines, which is completion order when requests overlap.
     """
 
     def __init__(self, log_path: str | Path):
-        self.completions: dict[tuple[str, str, float], str] = {}
+        self.completions: dict[tuple[str, str, float, int], str] = {}
         with Path(log_path).open(encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
@@ -280,16 +312,22 @@ class ReplayBackend(GlmBackend):
                     key = (
                         record["prompt_sha256"],
                         _model_sent(record.get("model")),
-                        record.get("temperature", 0.0),
+                        record.get("temperature", GenParams.temperature),
+                        record.get("max_tokens", GenParams.max_tokens),
                     )
                     self.completions[key] = record["completion"]
 
     def complete(self, prompt: str, params: GenParams) -> str:
-        key = (prompt_digest(prompt), _model_sent(params.model_id), params.temperature)
+        key = (
+            prompt_digest(prompt),
+            _model_sent(params.model_id),
+            params.temperature,
+            params.max_tokens,
+        )
         if key not in self.completions:
             raise GlmError(
                 f"no recorded completion for prompt hash {key[0][:12]}... "
-                f"with model {key[1]!r} at temperature {key[2]}"
+                f"with model {key[1]!r} at temperature {key[2]} and max_tokens {key[3]}"
             )
         return self.completions[key]
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,6 +188,13 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     that cannot be parsed, and responses whose backend call ran out of
     retries, fall back to fallback_label (scheme default when None) and
     are counted apart.  Any other backend error ends the grading.
+
+    Retrieval and rendering run on the calling thread.  A backend whose
+    concurrency exceeds 1 completes and parses up to that many prompts at
+    once on a thread pool while the next prompts are rendered.  Verdicts
+    are still taken in response order, so the outcome equals a one-at-a-
+    time run's, and of the backend errors the first in response order is
+    raised; an error in retrieval or rendering is raised when it occurs.
     """
     g = grader
     with_examples = g.template.scenario == "with_examples"
@@ -195,8 +204,7 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     fallback_label = g.fallback_label or default_fallback(g.scheme)
     retrieval = RetrievalConfig(k=g.k, same_question_only=g.same_question_only)
 
-    outcome = GradingOutcome(predictions=[], gold=[])
-    for r in responses:
+    def prompt_for(r: Response) -> str:
         question = g.questions[r.question_id]
         examples = None
         if with_examples:
@@ -208,19 +216,51 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
             reference_answer="\n".join(question.reference_answers),
             examples=examples,
         )
-        prompt = render(g.template, bindings)
+        return render(g.template, bindings)
+
+    def judge(prompt: str) -> tuple[str, type | None]:
+        """The verdict, and the type of the failure that made it the fallback."""
         try:
             raw = g.backend.complete(prompt, params)
-            label = parse_judgment(raw, g.scheme, g.template.style).label
-        except RetryExhausted:
-            label = fallback_label
-            outcome.backend_failures += 1
-        except ParseFailure:
-            label = fallback_label
-            outcome.parse_failures += 1
+            return parse_judgment(raw, g.scheme, g.template.style).label, None
+        except (RetryExhausted, ParseFailure) as exc:
+            return fallback_label, type(exc)
+
+    prompts = map(prompt_for, responses)
+    workers = getattr(g.backend, "concurrency", 1)
+    verdicts = map(judge, prompts) if workers <= 1 else _in_order(judge, prompts, workers)
+    outcome = GradingOutcome(predictions=[], gold=[])
+    # strict: verdicts is read to its end, which shuts a pool down at once
+    for r, (label, failure) in zip(responses, verdicts, strict=True):
+        outcome.backend_failures += failure is RetryExhausted
+        outcome.parse_failures += failure is ParseFailure
         outcome.predictions.append(label)
         outcome.gold.append(collapse_label(r.label, g.scheme))
     return outcome
+
+
+def _in_order(task, items, workers: int):
+    """task(item) for each item on a pool of workers, yielded in item order.
+
+    Items are drawn lazily, at most 2 * workers ahead of the result being
+    waited for.  When a task raises, the tasks not yet started are
+    cancelled and the error propagates once the running ones finish.
+    """
+    # No local variable may name a future whose result is being read: the
+    # error it raises holds this frame, and the frame would hold the future
+    # that holds the error, a cycle that keeps the grader's store alive
+    # until the garbage collector runs.
+    pending = deque()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for item in items:
+            pending.append(pool.submit(task, item))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass

@@ -106,8 +106,9 @@ class TestParseJudgment:
 
 
 class _GlmHandler(BaseHTTPRequestHandler):
-    # class-level script: list of status codes, consumed per request
-    script: list[int] = []
+    # class-level script, consumed per request: a status code, or a
+    # (status, headers) pair for a failure that sends headers
+    script: list[int | tuple[int, dict]] = []
     requests_seen: list[dict] = []
 
     def do_POST(self):
@@ -117,8 +118,11 @@ class _GlmHandler(BaseHTTPRequestHandler):
             {"body": body, "auth": self.headers.get("authorization")}
         )
         status = type(self).script.pop(0) if type(self).script else 200
+        status, extra_headers = status if isinstance(status, tuple) else (status, {})
         if status != 200:
             self.send_response(status)
+            for name, value in extra_headers.items():
+                self.send_header(name, value)
             self.send_header("content-length", "0")
             self.end_headers()
             return
@@ -144,6 +148,7 @@ def glm_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()
 
 
 def fast_backend(endpoint, **kwargs):
@@ -175,6 +180,41 @@ class TestRemoteBackend:
         assert backend.complete("p", PARAMS).startswith("echo:")
         assert len(sleeps) == 2  # one backoff sleep before each retry
         assert sleeps[1] > sleeps[0]  # exponential
+
+    def test_backoff_jitter_keeps_each_delay_in_its_band(self, glm_server):
+        firsts = []
+        for _ in range(8):
+            _GlmHandler.script = [500, 503]
+            backend, sleeps = fast_backend(glm_server)
+            assert backend.complete("p", PARAMS).startswith("echo:")
+            assert 0.5 <= sleeps[0] < 0.75 and 1.0 <= sleeps[1] < 1.5
+            firsts.append(sleeps[0])
+        assert len(set(firsts)) > 1  # concurrent callers do not retry in lockstep
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_longer_than_backoff_is_honoured(self, glm_server, status):
+        _GlmHandler.script = [(status, {"Retry-After": "7"}), (status, {"Retry-After": " 3 "})]
+        backend, sleeps = fast_backend(glm_server)
+        assert backend.complete("p", PARAMS).startswith("echo:")
+        assert sleeps == [7.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "status, value",
+        [
+            (429, "0"),
+            (429, "Wed, 21 Oct 2026 07:28:00 GMT"),
+            (503, "soon"),
+            (503, "-5"),
+            (429, "1.5"),
+            (500, "9"),
+        ],
+        ids=["zero", "http-date", "word", "negative", "fraction", "not-429-or-503"],
+    )
+    def test_retry_after_shorter_or_unusable_leaves_the_backoff(self, glm_server, status, value):
+        _GlmHandler.script = [(status, {"Retry-After": value})]
+        backend, sleeps = fast_backend(glm_server)
+        assert backend.complete("p", PARAMS).startswith("echo:")
+        assert len(sleeps) == 1 and 0.5 <= sleeps[0] < 0.75
 
     def test_always_500_exhausts_after_three_attempts(self, glm_server):
         _GlmHandler.script = [500, 500, 500, 500]
@@ -272,6 +312,25 @@ class TestReplayBackend:
         backend.complete("p", GenParams(model_id="m1"))
         with pytest.raises(GlmError, match="no recorded completion"):
             ReplayBackend(log).complete("p", params)
+
+    def test_keys_on_max_tokens(self, glm_server, tmp_path):
+        log = tmp_path / "log.jsonl"
+        backend, _ = fast_backend(glm_server, log_path=log)
+        first = backend.complete("p", PARAMS)
+        assert json.loads(log.read_text())["max_tokens"] == PARAMS.max_tokens
+        replay = ReplayBackend(log)
+        assert replay.complete("p", PARAMS) == first
+        with pytest.raises(GlmError, match="no recorded completion"):
+            replay.complete("p", GenParams(max_tokens=8))
+
+    def test_record_without_max_tokens_counts_as_the_default(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        record = {"prompt_sha256": prompt_digest("p"), "completion": "done"}
+        log.write_text(json.dumps(record) + "\n")
+        replay = ReplayBackend(log)
+        assert replay.complete("p", GenParams(max_tokens=64)) == "done"
+        with pytest.raises(GlmError, match="no recorded completion"):
+            replay.complete("p", GenParams(max_tokens=8))
 
     def test_model_resolved_like_remote(self, glm_server, tmp_path, monkeypatch):
         monkeypatch.setenv("RAGRADE_GLM_MODEL", "model-from-env")

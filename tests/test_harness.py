@@ -1,8 +1,15 @@
 import dataclasses
+import gc
 import json
+import re
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
+import requests
 
 import ragrade.harness
 from conftest import make_corpus
@@ -15,6 +22,8 @@ from ragrade.glm import (
     NonRetryableError,
     RateLimiter,
     RemoteBackend,
+    ReplayBackend,
+    ScriptedBackend,
 )
 from ragrade.harness import (
     ExperimentConfig,
@@ -24,6 +33,7 @@ from ragrade.harness import (
     grade_responses,
     rag_fraction_experiment,
     run_scenario,
+    seed_grader,
 )
 from ragrade.losses import LossKind
 from ragrade.pairs import Scope, Strategy
@@ -368,16 +378,23 @@ class _FakeResponse:
         return {"text": self.text}
 
 
-class _OnePromptDown:
-    """Session that answers like the mock model, except 503 to one prompt."""
+_NEW_ANSWER_RE = re.compile(r"<new_answer>\n\n(.*?)\n\n</new_answer>", re.DOTALL)
 
-    def __init__(self):
-        self.doomed = None
+
+def answer_of(prompt: str) -> str:
+    """The answer text a cpg grading prompt asks about."""
+    return _NEW_ANSWER_RE.search(prompt).group(1)
+
+
+class _OnePromptDown:
+    """Session that answers like the mock model, except 503 to the prompts about one answer."""
+
+    def __init__(self, doomed_answer: str):
+        self.doomed_answer = doomed_answer
 
     def post(self, url, json=None, headers=None, timeout=None):
         prompt = json["prompt"]
-        self.doomed = self.doomed or prompt
-        if prompt == self.doomed:
+        if answer_of(prompt) == self.doomed_answer:
             return _FakeResponse(503)
         return _FakeResponse(200, MockBackend().complete(prompt, GenParams()))
 
@@ -386,7 +403,7 @@ class TestBackendFailures:
     def test_retry_exhausted_costs_one_verdict_not_the_run(self, tiny_corpus):
         backend = RemoteBackend(
             "http://fake.invalid/complete",
-            session=_OnePromptDown(),
+            session=_OnePromptDown(tiny_corpus.split("ua")[0].text),
             sleep=lambda s: None,
             limiter=RateLimiter(requests_per_second=1e6),
         )
@@ -409,6 +426,204 @@ class TestBackendFailures:
 
         with pytest.raises(error):
             run_scenario(tiny_corpus, "ua", CFG, backend=Refuses())
+
+
+def many_corpus(n_questions=3, per_question=10):
+    """30 ua answers, each a train answer of its question plus one word."""
+    words = "amber basalt cobalt dune ember fjord garnet harbor iris jade".split()
+    labels = [Label.CORRECT, Label.CONTRADICTORY, Label.IRRELEVANT]
+    rows = []
+    for q in range(n_questions):
+        for j in range(per_question):
+            text = f"question {q} answer {words[j]} {words[(3 * j + q) % len(words)]}"
+            rows.append((f"t{q}-{j}", f"q{q}", "train", labels[(j + q) % 3], text))
+            rows.append((f"u{q}-{j}", f"q{q}", "ua", labels[j % 3], f"{text} indeed"))
+    return make_corpus(
+        {f"q{q}": f"Question {q}?" for q in range(n_questions)},
+        rows,
+        references={f"q{q}": [f"reference {q}"] for q in range(n_questions)},
+    )
+
+
+class _MockModel:
+    """Thread-safe session that answers like the mock model.
+
+    faults maps an answer text to what its first posts get at once instead
+    of an answer: a response, or an exception to raise.  delay(n) is how
+    long the n-th post (counting from 0) takes to answer otherwise.
+    """
+
+    def __init__(self, faults=None, delay=lambda n: 0.0):
+        self.faults = {text: list(fs) for text, fs in (faults or {}).items()}
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.arrived: list[str] = []  # answer texts in arrival order
+        self.answered: list[str] = []  # and in the order their posts returned
+        self.in_flight = self.peak = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["prompt"]
+        text = answer_of(prompt)
+        with self.lock:
+            n = len(self.arrived)
+            self.arrived.append(text)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            faults = self.faults.get(text)
+            fault = faults.pop(0) if faults else None
+        try:
+            if isinstance(fault, Exception):
+                raise fault
+            if fault is not None:
+                return fault
+            time.sleep(self.delay(n))
+            return _FakeResponse(200, MockBackend().complete(prompt, GenParams()))
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+                self.answered.append(text)
+
+
+def remote(session, max_in_flight=4, sleeps=None, **kwargs):
+    return RemoteBackend(
+        "http://fake.invalid/complete",
+        session=session,
+        sleep=sleeps.append if sleeps is not None else lambda s: None,
+        limiter=RateLimiter(requests_per_second=1e6, max_in_flight=max_in_flight),
+        **kwargs,
+    )
+
+
+def _with_retry_after(status, seconds):
+    response = _FakeResponse(status)
+    response.headers = {"Retry-After": seconds}
+    return response
+
+
+class TestPipelinedGrading:
+    """A RemoteBackend keeps max_in_flight requests in flight; verdicts stay in response order."""
+
+    def test_order_holds_when_early_prompts_answer_last(self):
+        corpus = many_corpus()
+        session = _MockModel(delay=lambda n: 0.004 * (7 - n % 8))
+        report = run_scenario(corpus, "ua", CFG, backend=remote(session))
+        inline = run_scenario(corpus, "ua", CFG)
+        assert 1 < session.peak <= 4
+        assert session.answered != session.arrived  # completions really came out of order
+        assert json.dumps(report.as_dict()) == json.dumps(inline.as_dict())
+
+    def test_retry_exhausted_costs_one_verdict(self):
+        corpus = many_corpus()
+        ua = list(corpus.split("ua"))
+        session = _MockModel(faults={ua[5].text: [_FakeResponse(503)] * 3})
+        report = run_scenario(corpus, "ua", CFG, backend=remote(session))
+        inline = run_scenario(corpus, "ua", CFG)
+        predictions, expected = report.per_run[0]["predictions"], inline.per_run[0]["predictions"]
+        assert report.backend_failures == 1 and report.parse_failures == 0
+        assert predictions[5] == "incorrect"  # the scheme's fallback
+        assert predictions[:5] + predictions[6:] == expected[:5] + expected[6:]
+
+    @pytest.mark.parametrize("i", [0, 3, 17])
+    def test_auth_error_stops_the_requests_within_the_window(self, i):
+        corpus = many_corpus()
+        text = corpus.split("ua")[i].text
+        session = _MockModel(faults={text: [_FakeResponse(401)]})
+        with pytest.raises(AuthError):
+            run_scenario(corpus, "ua", CFG, backend=remote(session))
+        assert text in session.arrived
+        assert len(session.arrived) <= i + 1 + 2 * 4
+
+    def test_auth_error_cancels_the_requests_not_yet_started(self):
+        # the first answer fails at once; the next four hold all the workers
+        # until the error reaches the caller, and the three queued behind
+        # them must never be posted
+        corpus = many_corpus()
+        session = _MockModel(faults={corpus.split("ua")[0].text: [_FakeResponse(401)]},
+                             delay=lambda n: 0.3)
+        with pytest.raises(AuthError):
+            run_scenario(corpus, "ua", CFG, backend=remote(session))
+        assert len(session.arrived) <= 1 + 4
+
+    def test_transient_failures_give_the_same_predictions_at_one_and_four_in_flight(self):
+        corpus = many_corpus()
+        ua = list(corpus.split("ua"))
+        runs = {}
+        for max_in_flight in (1, 4):
+            faults = {
+                ua[2].text: [_with_retry_after(429, "2")],
+                ua[7].text: [requests.Timeout("read timed out")],
+                ua[11].text: [_FakeResponse(503)],
+            }
+            session, sleeps = _MockModel(faults=faults), []
+            backend = remote(session, max_in_flight, sleeps)
+            runs[max_in_flight] = run_scenario(corpus, "ua", CFG, backend=backend)
+            assert len(session.arrived) == len(ua) + 3
+            assert len(sleeps) == 3 and 2.0 in sleeps  # the Retry-After outweighed the backoff
+        inline = run_scenario(corpus, "ua", CFG)
+        assert runs[1].backend_failures == runs[4].backend_failures == 0
+        assert runs[1].per_run == runs[4].per_run == inline.per_run
+
+    def test_stress_sixteen_workers_log_every_completion_whole(self, tmp_path):
+        corpus = many_corpus(n_questions=4)
+        config = dataclasses.replace(CFG, seeds=(1, 2, 3))
+        log = tmp_path / "log.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            report = run_scenario(
+                corpus, "ua", config, backend=remote(_MockModel(), 16, log_path=log)
+            )
+            assert time.monotonic() - start < 60
+        finally:
+            sys.setswitchinterval(interval)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 3 * len(corpus.split("ua"))
+        replayed = run_scenario(corpus, "ua", config, backend=ReplayBackend(log))
+        assert report.per_run == replayed.per_run == run_scenario(corpus, "ua", config).per_run
+
+    @pytest.mark.parametrize("kind", ["mock", "replay", "scripted"])
+    def test_inline_backends_run_on_the_calling_thread(self, kind, tmp_path):
+        corpus = many_corpus()
+        if kind == "replay":
+            log = tmp_path / "log.jsonl"
+            run_scenario(corpus, "ua", CFG, backend=remote(_MockModel(), log_path=log))
+            base, args = ReplayBackend, (log,)
+        else:
+            base, args = {"mock": (MockBackend, ()), "scripted": (ScriptedBackend, (["x"],))}[kind]
+        threads = set()
+
+        class Recording(base):
+            def complete(self, prompt, params):
+                threads.add(threading.get_ident())
+                return super().complete(prompt, params)
+
+        report = run_scenario(corpus, "ua", CFG, backend=Recording(*args))
+        assert threads == {threading.get_ident()}
+        if kind == "replay":  # a log written in completion order replays in response order
+            assert report.per_run == run_scenario(corpus, "ua", CFG).per_run
+
+    def test_an_aborted_grading_frees_the_store_without_gc(self):
+        # A future left reachable from the frames of the raised error forms a
+        # cycle through its stored exception, which only gc would break.
+        corpus = many_corpus()
+        responses = list(corpus.split("ua"))
+        session = _MockModel(faults={responses[3].text: [_FakeResponse(401)]})
+        grader = seed_grader(corpus, "ua", CFG, 1, remote(session))
+        store = weakref.ref(grader.store)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                grade_responses(grader, responses)
+            except AuthError:
+                pass
+            else:
+                pytest.fail("AuthError was not raised")
+            del grader
+            assert store() is None
+        finally:
+            gc.enable()
 
 
 class TestConfig:
