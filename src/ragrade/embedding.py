@@ -50,7 +50,9 @@ class HashEmbedder(BaseEmbedder):
     Lowercased word tokens and boundary-padded character trigrams are
     hashed into dim buckets with a sign bit, accumulated, and
     L2-normalized.  Same text always maps to the same vector, across
-    processes.
+    processes.  Each distinct token's (buckets, signs) is hashed once
+    and memoized on the instance; every bucket is a sum of +-1.0, which
+    is exact in any order, so the memo never changes a vector.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
@@ -58,28 +60,34 @@ class HashEmbedder(BaseEmbedder):
             raise ValueError("dim must be at least 2")
         self.dim = dim
         self.embedder_id = f"hash-{dim}"
+        self._features: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
 
     def embed(self, text: str) -> np.ndarray:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             raise EmbeddingError(f"text has no hashable features: {text!r}")
-        vec = np.zeros(self.dim, dtype=np.float64)
+        buckets, signs = [], []
         for token in tokens:
-            self._add(vec, "w:" + token)
-            padded = f"#{token}#"
-            for i in range(len(padded) - 2):
-                self._add(vec, "t:" + padded[i : i + 3])
+            token_buckets, token_signs = self._features.get(token) or self._hash(token)
+            buckets += token_buckets
+            signs += token_signs
+        vec = np.bincount(buckets, weights=signs, minlength=self.dim)
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise EmbeddingError(f"text hashed to the zero vector: {text!r}")
         return vec / norm
 
-    def _add(self, vec: np.ndarray, feature: str) -> None:
-        digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        bucket = h % self.dim
-        sign = 1.0 if (h >> 63) & 1 else -1.0
-        vec[bucket] += sign
+    def _hash(self, token: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Memoize the token's word feature and trigram features as (buckets, signs)."""
+        padded = f"#{token}#"
+        buckets, signs = [], []
+        for feature in ["w:" + token] + ["t:" + padded[i : i + 3] for i in range(len(padded) - 2)]:
+            digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
+            h = int.from_bytes(digest, "little")
+            buckets.append(h % self.dim)
+            signs.append(1.0 if h >> 63 else -1.0)
+        entry = self._features[token] = (tuple(buckets), tuple(signs))
+        return entry
 
 
 class RemoteEmbedder(BaseEmbedder):
@@ -102,20 +110,33 @@ class RemoteEmbedder(BaseEmbedder):
         import requests
 
         poster = self._session.post if self._session is not None else requests.post
-        resp = poster(self.endpoint, json={"texts": texts}, timeout=self.timeout)
-        resp.raise_for_status()
-        vectors = resp.json().get("vectors")
-        if vectors is None or len(vectors) != len(texts):
-            raise EmbeddingError(
-                f"remote embedder returned {0 if vectors is None else len(vectors)} "
-                f"vectors for {len(texts)} texts"
-            )
-        arr = np.asarray(vectors, dtype=np.float64)
+        where = f"remote embedder {self.endpoint}"
+        try:
+            resp = poster(self.endpoint, json={"texts": texts}, timeout=self.timeout)
+            resp.raise_for_status()
+        except requests.RequestException as exc:
+            raise EmbeddingError(f"{where}: {exc}") from None
+        try:
+            body = resp.json()
+        except ValueError as exc:  # requests' JSONDecodeError is one
+            raise EmbeddingError(f"{where}: response body is not JSON: {exc}") from None
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        if not isinstance(vectors, list):
+            raise EmbeddingError(f"{where}: response is not a JSON object with a 'vectors' list")
+        if len(vectors) != len(texts):
+            raise EmbeddingError(f"{where} returned {len(vectors)} vectors for {len(texts)} texts")
+        try:
+            arr = np.asarray(vectors, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise EmbeddingError(f"{where}: vectors are not numeric: {exc}") from None
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise EmbeddingError(
-                f"remote embedder dimension {arr.shape[-1] if arr.ndim == 2 else '?'} "
+                f"{where}: dimension {arr.shape[-1] if arr.ndim == 2 else '?'} "
                 f"!= configured {self.dim}"
             )
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise EmbeddingError(f"{where}: vector {bad[0]} is not finite")
         return arr
 
 

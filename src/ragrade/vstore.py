@@ -194,9 +194,7 @@ def entry_from_response(response: Response, embedder: BaseEmbedder) -> Entry:
         vec = embedder.embed_scoped(response.text, response.question_id)
     except Exception as exc:
         raise StoreError(f"embedding failed for response {response.id!r}: {exc}") from exc
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise StoreError(f"embedding failed for response {response.id!r}: zero vector")
+    norm = _checked_norm(vec, f"response {response.id!r}: embedding")
     metadata = {
         "response_text": response.text,
         "judgment": response.label.value,
@@ -204,6 +202,13 @@ def entry_from_response(response: Response, embedder: BaseEmbedder) -> Entry:
         "question_id": response.question_id,
     }
     return Entry(vector=np.asarray(vec) / norm, metadata=metadata)
+
+
+def _checked_norm(vec: np.ndarray, what: str) -> float:
+    norm = float(np.linalg.norm(vec))
+    if not 0.0 < norm < np.inf:  # also NaN
+        raise StoreError(f"{what} norm {norm} is not finite and positive")
+    return norm
 
 
 def top_k(
@@ -230,10 +235,7 @@ def top_k(
         raise StoreError("no candidate entries after scope filtering")
 
     query = np.asarray(embedder.embed_scoped(query_text, question_id), dtype=np.float64)
-    norm = float(np.linalg.norm(query))
-    if norm == 0.0:
-        raise StoreError("query embedded to the zero vector")
-    query = query / norm
+    query = query / _checked_norm(query, "query embedding")
 
     if rows is not None:
         matrix = matrix[rows]

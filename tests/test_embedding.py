@@ -1,9 +1,13 @@
+import hashlib
 import json
+import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from ragrade.embedding import (
     AdaptedEmbedder,
@@ -63,6 +67,88 @@ class TestHashEmbedder:
 
     def test_stable_across_instances(self):
         assert np.array_equal(HashEmbedder(64).embed("stable"), HashEmbedder(64).embed("stable"))
+
+
+def reference_embed(text: str, dim: int) -> np.ndarray:
+    """Feature hashing one feature at a time, with no memo: the embedder's specification.
+
+    Each word token and boundary-padded trigram adds +1 or -1 to one of
+    dim buckets, chosen by the first 8 bytes of its blake2b digest read
+    little-endian: the bucket is that number mod dim, the sign is + when
+    its top bit is set.
+    """
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    if not tokens:
+        raise EmbeddingError(f"text has no hashable features: {text!r}")
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        padded = f"#{token}#"
+        for feature in ["w:" + token] + ["t:" + padded[i : i + 3] for i in range(len(padded) - 2)]:
+            digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
+            h = int.from_bytes(digest, "little")
+            vec[h % dim] += 1.0 if h >> 63 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        raise EmbeddingError(f"text hashed to the zero vector: {text!r}")
+    return vec / norm
+
+
+def seeded_texts(seed: int, n: int) -> list[str]:
+    """Texts mixing repeated and fresh tokens, digits, punctuation and non-ASCII."""
+    rng = random.Random(seed)
+    pool = "the cell cells cellular wall 42 420 x9 a ohm's law naïve café straße İstanbul ΣΊΣΥΦΟΣ 日本 b".split()
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789éü"
+    texts = []
+    for _ in range(n):
+        words = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.7:
+                words.append(rng.choice(pool))
+            else:
+                words.append("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
+        texts.append("".join(w + rng.choice([" ", ", ", "!? ", "-", "\n"]) for w in words))
+    return texts
+
+
+def outcome(embed, *args) -> bytes | str:
+    """The bytes of embed(*args), or its EmbeddingError message."""
+    try:
+        return embed(*args).tobytes()
+    except EmbeddingError as exc:
+        return f"EmbeddingError: {exc}"
+
+
+class TestMemoizedHashing:
+    @pytest.mark.parametrize("dim", [2, 7, 384, 1024])
+    def test_bitwise_equal_to_the_reference(self, dim):
+        texts = seeded_texts(seed=dim, n=400)
+        embedder = HashEmbedder(dim)
+        for text in texts + texts:  # the second pass reads every token from the memo
+            assert outcome(embedder.embed, text) == outcome(reference_embed, text, dim)
+
+    def test_same_errors_for_no_tokens_and_cancelled_features(self):
+        embedder = HashEmbedder(2)
+        errors = set()
+        for text in seeded_texts(seed=0, n=400) * 2:
+            expected = outcome(reference_embed, text, 2)
+            assert outcome(embedder.embed, text) == expected
+            if isinstance(expected, str):
+                errors.add(expected.split(":")[1].strip())
+        # some texts have no tokens, and at dim 2 some have features that cancel
+        assert errors == {"text has no hashable features", "text hashed to the zero vector"}
+
+    def test_order_independent(self):
+        a, b = "Cell walls protect the cell.", "the cell wall: 42 naïve cafés"
+        first, second = HashEmbedder(64), HashEmbedder(64)
+        forward = [first.embed(a).tobytes(), first.embed(b).tobytes()]
+        backward = [second.embed(b).tobytes(), second.embed(a).tobytes()]
+        assert forward == backward[::-1]
+
+    def test_embedders_of_different_dims_share_no_memo(self):
+        small, large = HashEmbedder(7), HashEmbedder(384)
+        for text in seeded_texts(seed=3, n=200):
+            for embedder in (small, large):
+                assert outcome(embedder.embed, text) == outcome(reference_embed, text, embedder.dim)
 
 
 class TestCosine:
@@ -210,6 +296,8 @@ def embed_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 class TestRemoteEmbedder:
@@ -224,3 +312,55 @@ class TestRemoteEmbedder:
         embedder = RemoteEmbedder(embed_server, dim=9)
         with pytest.raises(EmbeddingError, match="dimension"):
             embedder.embed("hello")
+
+
+class _CannedSession:
+    """Answers every post with the same status and raw body, or raises error."""
+
+    def __init__(self, status=200, body=b"", error=None):
+        self.status, self.body, self.error = status, body, error
+
+    def post(self, url, json=None, timeout=None):
+        if self.error is not None:
+            raise self.error
+        resp = requests.Response()
+        resp.status_code, resp._content, resp.url = self.status, self.body, url
+        return resp
+
+
+ENDPOINT = "http://embed.invalid/v1"
+
+
+class TestRemoteEmbedderOutsideFailures:
+    @pytest.mark.parametrize(
+        "session, problem",
+        [
+            (_CannedSession(500, b"oops"), "500 Server Error"),
+            (_CannedSession(error=requests.ConnectionError("refused")), "refused"),
+            (_CannedSession(200, b"<html>"), "not JSON"),
+            (_CannedSession(200, b"[[0.6, 0.8]]"), "not a JSON object with a 'vectors' list"),
+            (_CannedSession(200, b'{"vectors": 3}'), "not a JSON object with a 'vectors' list"),
+            (_CannedSession(200, b'{"vectors": [["a", "b"]]}'), "not numeric"),
+            (_CannedSession(200, b'{"vectors": [[0.6, [0.8]]]}'), "not numeric"),
+            (_CannedSession(200, b'{"vectors": [[0.6], [0.6, 0.8]]}'), "returned 2 vectors"),
+            (_CannedSession(200, b'{"vectors": [[0.6, 0.8, 0.0]]}'), "dimension 3 != configured 2"),
+            (_CannedSession(200, b'{"vectors": [[NaN, 0.8]]}'), "vector 0 is not finite"),
+            (_CannedSession(200, b'{"vectors": [[Infinity, 0.8]]}'), "vector 0 is not finite"),
+            (_CannedSession(200, b'{"vectors": [[0.6, null]]}'), "vector 0 is not finite"),
+        ],
+        ids=[
+            "http-500", "connection-error", "not-json", "json-list", "vectors-not-a-list",
+            "strings", "ragged", "count", "dimension", "nan", "infinity", "null",
+        ],
+    )
+    def test_raises_embedding_error_naming_endpoint(self, session, problem):
+        embedder = RemoteEmbedder(ENDPOINT, dim=2, session=session)
+        with pytest.raises(EmbeddingError) as info:
+            embedder.embed("hello")
+        assert ENDPOINT in str(info.value)
+        assert problem in str(info.value)
+
+    def test_good_body_still_embeds(self):
+        session = _CannedSession(200, b'{"vectors": [[0.6, 0.8], [1, 0]]}')
+        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed_many(["a", "b"])
+        np.testing.assert_array_equal(out, [[0.6, 0.8], [1.0, 0.0]])

@@ -89,6 +89,14 @@ class TestBuild:
         with pytest.raises(StoreError, match="'bad'"):
             build_store(list(corpus.split("train")), HashEmbedder(16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_embedding_names_response(self, bad):
+        corpus = make_corpus({"q": "Q?"}, [("odd", "q", "train", Label.CORRECT, "text")])
+        embedder = FixedEmbedder({"text": [bad, 0.0]}, dim=2)
+        message = r"response 'odd': embedding norm .* is not finite and positive"
+        with pytest.raises(StoreError, match=message):
+            build_store(list(corpus.split("train")), embedder)
+
     def test_required_metadata_enforced(self):
         with pytest.raises(StoreError, match="judgment"):
             Entry(vector=np.array([1.0, 0.0]), metadata={"response_text": "t"})
@@ -152,6 +160,12 @@ class TestTopK:
     def test_scope_needs_question_id(self):
         with pytest.raises(StoreError, match="question_id"):
             top_k(self.store, "q", self.embedder, RetrievalConfig(k=1, same_question_only=True))
+
+    @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan], [0.0, 0.0]])
+    def test_non_finite_or_zero_query_rejected(self, query):
+        embedder = FixedEmbedder({"q": query}, dim=2)
+        with pytest.raises(StoreError, match="query embedding norm .* finite and positive"):
+            top_k(self.store, "q", embedder, RetrievalConfig(k=1))
 
     def test_empty_candidates_error(self):
         with pytest.raises(StoreError, match="no candidate"):
