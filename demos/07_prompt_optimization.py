@@ -7,7 +7,7 @@ backends are scripted so the run is fully reproducible: proposals score
 0.5, 0.7, then 0.6 against a 0.4 draft.
 """
 
-from ragrade import Corpus, Label, Question, Response, Scheme
+from ragrade import Corpus, Grader, Label, Question, Response, Scheme
 from ragrade.glm import ScriptedBackend
 from ragrade.optimize import OptimizerConfig, PromptEvaluator, optimize
 from ragrade.prompts import load_template
@@ -50,7 +50,9 @@ proposal_bodies = [
 critic = ScriptedBackend([f"<template>\n{b}\n</template>" for b in proposal_bodies])
 
 draft = load_template("SB3", "without_examples", "cpg")
-evaluator = PromptEvaluator(corpus.split("ua"), corpus, Scheme.THREE_WAY, task, metric="accuracy")
+# the grader's settings grade every candidate; score() swaps in the candidate's template
+grader = Grader(corpus.questions, Scheme.THREE_WAY, draft, task)
+evaluator = PromptEvaluator(corpus.split("ua"), grader, metric="accuracy")
 result = optimize(OptimizerConfig(steps=3, beam=1), draft, evaluator, critic)
 
 print("candidate history (step, score):")

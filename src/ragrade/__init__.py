@@ -26,7 +26,6 @@ from .embedding import (
     Adapter,
     BaseEmbedder,
     HashEmbedder,
-    QuestionRoutedEmbedder,
     RemoteEmbedder,
 )
 from .glm import (
@@ -47,7 +46,6 @@ from .harness import (
     format_report_table,
     grade_responses,
     rag_fraction_experiment,
-    resolve_embedder,
     run_scenario,
 )
 from .losses import (

@@ -24,13 +24,12 @@ from .corpus import (
     validate_corpus,
     write_jsonl,
 )
-from .embedding import Adapter, EmbeddingError, HashEmbedder
+from .embedding import AdaptedEmbedder, Adapter, EmbeddingError, HashEmbedder
 from .glm import GlmError, make_backend
 from .harness import (
     ExperimentConfig,
     HarnessError,
     format_report_table,
-    resolve_embedder,
     run_scenario,
     seed_grader,
 )
@@ -91,7 +90,7 @@ def _add_common_eval_args(p: argparse.ArgumentParser):
     p.add_argument("--seeds", default=None, help="comma-separated run seeds (default 1,2,3)")
     p.add_argument("--runs", type=int, default=None, help="must match the seed count if given")
     p.add_argument("--dim", type=int, default=None, help="base embedding dimension")
-    p.add_argument("--adapter", default=None, help="adapter file or directory of per-question adapters")
+    p.add_argument("--adapter", default=None, help="adapter file, or a directory train-embedder wrote")
     p.add_argument("--store", default=None, help="prebuilt vector store file")
     p.add_argument("--train", action="store_true", default=None, help="train adapter(s) before scoring")
     p.add_argument("--config", default=None, help="experiment config JSON (flags override)")
@@ -126,12 +125,24 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _load_adapters(path: str | None):
+    """The adapter in a file, or the adapters train-embedder wrote to a directory.
+
+    A directory holds either global.adapter alone (global scope), which
+    loads as the single adapter, or one <question id>.adapter per question.
+    """
     if path is None:
         return None
     p = Path(path)
-    if p.is_dir():
-        return {f.stem: Adapter.load(f) for f in sorted(p.glob("*.adapter"))}
-    return Adapter.load(p)
+    if not p.is_dir():
+        return Adapter.load(p)
+    files = sorted(p.glob("*.adapter"))
+    if not files:
+        raise ValueError(f"{p}: no *.adapter files in the adapter directory")
+    if any(f.stem == "global" for f in files):
+        if len(files) > 1:
+            raise ValueError(f"{p}: global.adapter beside per-question adapters")
+        return Adapter.load(files[0])
+    return {f.stem: Adapter.load(f) for f in files}
 
 
 def build_parser() -> _Parser:
@@ -277,7 +288,7 @@ def _cmd_build_vdb(args) -> int:
     corpus = _load_corpus(args.corpus)
     base = HashEmbedder(args.dim)
     adapters = _load_adapters(args.adapter)
-    embedder = resolve_embedder(base, adapters)
+    embedder = base if adapters is None else AdaptedEmbedder(base, adapters)
     store = build_store(
         list(corpus.split("train")),
         embedder,
@@ -346,19 +357,7 @@ def _cmd_optimize_prompt(args) -> int:
         adapters=_load_adapters(args.adapter),
         store=store,
     )
-    evaluator = PromptEvaluator(
-        list(corpus.split(args.scenario)),
-        corpus,
-        config.scheme,
-        grader.backend,
-        metric=args.metric,
-        embedder=grader.embedder,
-        store=grader.store,
-        k=grader.k,
-        same_question_only=grader.same_question_only,
-        params=grader.params,
-        fallback_label=grader.fallback_label,
-    )
+    evaluator = PromptEvaluator(list(corpus.split(args.scenario)), grader, metric=args.metric)
     opt_config = OptimizerConfig(steps=args.steps, beam=args.candidates, metric=args.metric)
     result = optimize(opt_config, grader.template, evaluator, make_backend(args.critic))
     out = Path(args.out_dir)

@@ -194,12 +194,19 @@ class Adapter:
         with Path(path).open("rb") as fh:
             header_line = fh.readline()
             payload = fh.read()
-        header = json.loads(header_line.decode("utf-8"))
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError:  # also bad UTF-8
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: adapter header is not a JSON object")
         if header.get("format") != ADAPTER_FORMAT:
             raise ValueError(f"{path}: not an adapter file")
         if header.get("version") != ADAPTER_VERSION:
             raise ValueError(f"{path}: unsupported adapter version {header.get('version')}")
-        dim = header["dim"]
+        dim = header.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"{path}: adapter header needs an integer dim >= 1, got {dim!r}")
         expected = dim * dim * 8
         if len(payload) != expected:
             raise ValueError(
@@ -210,46 +217,29 @@ class Adapter:
 
 
 class AdaptedEmbedder(BaseEmbedder):
-    """Base embedder composed with a single adapter."""
+    """Base embedder composed with one adapter, or with one per question.
 
-    def __init__(self, base: BaseEmbedder, adapter: Adapter):
-        if adapter.dim != base.dim:
-            raise ValueError(
-                f"adapter dim {adapter.dim} != base embedder dim {base.dim}"
-            )
-        self.base = base
-        self.adapter = adapter
-        self.dim = base.dim
-        self.embedder_id = f"adapted({base.embedder_id})"
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.adapter.apply(self.base.embed(text))
-
-
-class QuestionRoutedEmbedder(BaseEmbedder):
-    """Base embedder with per-question adapters.
-
-    embed_scoped picks the question's adapter when one exists and falls
-    back to the plain base embedding otherwise (also for embed without a
-    question id).
+    A single adapter applies to every text.  With a question id ->
+    adapter map, embed_scoped picks the question's adapter and falls back
+    to the plain base embedding for other questions and for embed.
     """
 
-    def __init__(self, base: BaseEmbedder, adapters: dict[str, Adapter]):
-        for qid, adapter in adapters.items():
+    def __init__(self, base: BaseEmbedder, adapters: Adapter | dict[str, Adapter]):
+        single = isinstance(adapters, Adapter)
+        for qid, adapter in ({None: adapters} if single else adapters).items():
             if adapter.dim != base.dim:
-                raise ValueError(
-                    f"adapter for question {qid!r} has dim {adapter.dim}, base is {base.dim}"
-                )
+                where = "" if single else f" for question {qid!r}"
+                raise ValueError(f"adapter{where} has dim {adapter.dim}, base has dim {base.dim}")
         self.base = base
-        self.adapters = dict(adapters)
+        self.adapter = adapters if single else None  # applies to every question
+        self.adapters = {} if single else dict(adapters)
         self.dim = base.dim
-        self.embedder_id = f"routed({base.embedder_id})"
+        self.embedder_id = f"{'adapted' if single else 'routed'}({base.embedder_id})"
 
     def embed(self, text: str) -> np.ndarray:
-        return self.base.embed(text)
+        return self.embed_scoped(text, None)
 
     def embed_scoped(self, text: str, question_id: str | None = None) -> np.ndarray:
-        adapter = self.adapters.get(question_id) if question_id is not None else None
-        if adapter is None:
-            return self.base.embed(text)
-        return adapter.apply(self.base.embed(text))
+        vec = self.base.embed(text)
+        adapter = self.adapters.get(question_id, self.adapter)
+        return vec if adapter is None else adapter.apply(vec)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Scheme
+from .corpus import Scheme, _normalize_label_text
 
 ENV_ENDPOINT = "RAGRADE_GLM_ENDPOINT"
 ENV_API_KEY = "RAGRADE_GLM_API_KEY"
@@ -305,17 +305,24 @@ class ReplayBackend(GlmBackend):
 
     def __init__(self, log_path: str | Path):
         self.completions: dict[tuple[str, str, float, int], str] = {}
-        with Path(log_path).open(encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
+        with Path(log_path).open("rb") as fh:  # json.loads decodes, inside the try
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
                     record = json.loads(line)
+                    completion, digest = record["completion"], record["prompt_sha256"]
+                    if not (isinstance(completion, str) and isinstance(digest, str)):
+                        raise TypeError("prompt_sha256 and completion must be strings")
                     key = (
-                        record["prompt_sha256"],
+                        digest,
                         _model_sent(record.get("model")),
                         record.get("temperature", GenParams.temperature),
                         record.get("max_tokens", GenParams.max_tokens),
                     )
-                    self.completions[key] = record["completion"]
+                    self.completions[key] = completion  # TypeError if a field is unhashable
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise GlmError(f"{log_path}:{lineno}: bad replay record: {exc!r}") from None
 
     def complete(self, prompt: str, params: GenParams) -> str:
         key = (
@@ -340,12 +347,6 @@ _JUDGMENT_SPAN_RE = re.compile(r"<judgment>(.*?)</judgment>", re.IGNORECASE | re
 _DSPY_MARKER = "Judgment of the New Answer:"
 
 
-def _normalize_verdict(text: str) -> str:
-    text = text.lower().replace("_", " ").replace("-", " ")
-    text = re.sub(r"[^a-z0-9 ]+", " ", text)
-    return re.sub(r"\s+", " ", text).strip()
-
-
 def parse_judgment(raw: str, scheme: Scheme, style: str = "cpg") -> Judgment:
     """Extract the categorical verdict from a raw completion.
 
@@ -368,10 +369,10 @@ def parse_judgment(raw: str, scheme: Scheme, style: str = "cpg") -> Judgment:
     else:
         raise ValueError(f"unknown template style {style!r}")
 
-    normalized = _normalize_verdict(span)
+    normalized = _normalize_label_text(span)
     best = None
     for label in scheme.labels():
-        if _normalize_verdict(label) in normalized:
+        if _normalize_label_text(label) in normalized:
             if best is None or len(label) > len(best):
                 best = label
     if best is None:

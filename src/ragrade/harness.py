@@ -19,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, Question, Response, Scheme, collapse_label
-from .embedding import (
-    DEFAULT_DIM,
-    AdaptedEmbedder,
-    Adapter,
-    BaseEmbedder,
-    HashEmbedder,
-    QuestionRoutedEmbedder,
-)
+from .embedding import DEFAULT_DIM, AdaptedEmbedder, Adapter, BaseEmbedder, HashEmbedder
 from .glm import (
     GenParams,
     GlmBackend,
@@ -330,18 +323,6 @@ def _mean_reports(
     )
 
 
-def resolve_embedder(
-    base: BaseEmbedder,
-    adapters: dict[str, Adapter] | Adapter | None = None,
-) -> BaseEmbedder:
-    """Base embedder wrapped with a single or per-question adapter set."""
-    if adapters is None:
-        return base
-    if isinstance(adapters, Adapter):
-        return AdaptedEmbedder(base, adapters)
-    return QuestionRoutedEmbedder(base, adapters)
-
-
 def seed_grader(
     corpus: Corpus,
     scenario: str,
@@ -375,7 +356,7 @@ def seed_grader(
             adapters = results["global"].adapter
         else:
             adapters = {qid: res.adapter for qid, res in results.items()}
-    embedder = resolve_embedder(base, adapters)
+    embedder = base if adapters is None else AdaptedEmbedder(base, adapters)
     if with_examples and store is None:
         store = build_store(list(corpus.split("train")), embedder, corpus.questions)
     return Grader(

@@ -15,13 +15,10 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import Corpus, Scheme
-from .embedding import BaseEmbedder
 from .glm import GenParams, GlmBackend
 from .harness import Grader, grade_responses
 from .metrics import accuracy, macro_f1, weighted_f1
 from .prompts import PromptError, PromptTemplate, load_critic_meta_prompt
-from .vstore import VectorStore
 
 METRICS = {"accuracy": accuracy, "macro_f1": macro_f1, "weighted_f1": weighted_f1}
 
@@ -124,38 +121,17 @@ def propose(
 class PromptEvaluator:
     """Scores a template by grading the whole dev set with it.
 
-    Results are cached by (template sha256, dev set id); re-evaluating an
-    unchanged candidate never re-queries the backend.
+    Each score grades with the grader's settings and the template passed
+    to it; the grader's own template is not used.  Results are cached by
+    (template sha256, dev set id); re-evaluating an unchanged candidate
+    never re-queries the backend.
     """
 
     def __init__(
-        self,
-        dev_set,
-        corpus: Corpus,
-        scheme: Scheme,
-        backend: GlmBackend,
-        metric: str = "accuracy",
-        embedder: BaseEmbedder | None = None,
-        store: VectorStore | None = None,
-        k: int = 5,
-        same_question_only: bool = True,
-        params: GenParams | None = None,
-        fallback_label: str | None = None,
-        dev_set_id: str | None = None,
+        self, dev_set, grader: Grader, metric: str = "accuracy", dev_set_id: str | None = None
     ):
         self.dev_set = list(dev_set)
-        self.grader = Grader(
-            questions=corpus.questions,
-            scheme=scheme,
-            template=None,  # each score() grades with its own template
-            backend=backend,
-            embedder=embedder,
-            store=store,
-            k=k,
-            same_question_only=same_question_only,
-            params=params,
-            fallback_label=fallback_label,
-        )
+        self.grader = grader
         self.metric_name = metric
         self.metric = METRICS[metric]
         self.dev_set_id = dev_set_id or self._digest_dev_set()

@@ -51,17 +51,7 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
 
     def manifest(self) -> dict:
-        return {
-            "loss": self.loss.value,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "max_grad_norm": self.max_grad_norm,
-            "margin": self.margin,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "scale": self.scale,
-        }
+        return {**dataclasses.asdict(self), "loss": self.loss.value}
 
 
 @dataclass

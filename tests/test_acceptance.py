@@ -26,7 +26,7 @@ from ragrade.corpus import (
 )
 from ragrade.embedding import AdaptedEmbedder, HashEmbedder
 from ragrade.glm import ScriptedBackend
-from ragrade.harness import ExperimentConfig, rag_fraction_experiment, run_scenario
+from ragrade.harness import ExperimentConfig, Grader, rag_fraction_experiment, run_scenario
 from ragrade.losses import (
     LossKind,
     _project,
@@ -553,7 +553,9 @@ def test_criterion_8_optimizer_monotonicity():
             completions(4) + completions(5) + completions(7) + completions(6)
         )
         evaluator = PromptEvaluator(
-            corpus.split("ua"), corpus, Scheme.THREE_WAY, task, metric="accuracy"
+            corpus.split("ua"),
+            Grader(corpus.questions, Scheme.THREE_WAY, draft, task),
+            metric="accuracy",
         )
         bodies = [
             f"Variant {i}: {{{{QUESTION}}}} | {{{{REFERENCE_ANSWER}}}} | "

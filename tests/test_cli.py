@@ -5,6 +5,7 @@ import pytest
 import ragrade.cli
 import ragrade.harness
 from ragrade.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
+from ragrade.embedding import Adapter
 
 # a global adapter this strong moves one ua verdict on the tiny corpus, so
 # grading with and without training can be told apart
@@ -186,6 +187,32 @@ class TestTrainAndStoreArtifacts:
         assert report["runs"] == 3
         out = capsys.readouterr().out
         assert "Acc" in out and "M-F1" in out
+
+    def test_global_adapter_directory_loads_as_the_single_adapter(self, corpus_arg, tmp_path):
+        adapters = tmp_path / "adapters"
+        train = ["train-embedder", "--corpus", corpus_arg, "--scope", "global", "--lr", "0.5"]
+        assert cli(train + ["--dim", "48", "--out-dir", str(adapters)]) == EXIT_OK
+        stores = []
+        for adapter in (adapters, adapters / "global.adapter"):
+            stores.append(tmp_path / f"{adapter.name}.vdb")
+            build = ["build-vdb", "--corpus", corpus_arg, "--dim", "48", "--adapter", str(adapter)]
+            assert cli(build + ["--out", str(stores[-1])]) == EXIT_OK
+        assert stores[0].read_bytes() == stores[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "files, message",
+        [([], "no *.adapter files"), (["global", "q1"], "global.adapter beside")],
+        ids=["empty", "global-beside-question"],
+    )
+    def test_adapter_directory_layout_checked(self, corpus_arg, tmp_path, capsys, files, message):
+        adapters = tmp_path / "adapters"
+        adapters.mkdir()
+        for name in files:
+            Adapter.identity(48).save(adapters / f"{name}.adapter")
+        build = ["build-vdb", "--corpus", corpus_arg, "--dim", "48", "--adapter", str(adapters)]
+        assert cli(build + ["--out", str(tmp_path / "train.vdb")]) == EXIT_RUNTIME
+        assert f"{adapters}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "train.vdb").exists()
 
 
 class TestEvaluate:

@@ -14,7 +14,6 @@ from ragrade.embedding import (
     Adapter,
     EmbeddingError,
     HashEmbedder,
-    QuestionRoutedEmbedder,
     RemoteEmbedder,
 )
 
@@ -228,19 +227,57 @@ class TestAdapter:
         with pytest.raises(ValueError, match="payload length mismatch"):
             Adapter.load(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"not json\n",
+            b"[1, 2]\n",
+            json.dumps({"format": "embedding-adapter", "version": 1}).encode() + b"\n",
+            json.dumps({"format": "embedding-adapter", "version": 1, "dim": "4"}).encode() + b"\n",
+            json.dumps({"format": "embedding-adapter", "version": 1, "dim": 0}).encode() + b"\n",
+        ],
+        ids=["not-json", "not-object", "no-dim", "string-dim", "zero-dim"],
+    )
+    def test_malformed_header_rejected_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.adapter"
+        path.write_bytes(header)  # an empty payload fits dim 0
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            Adapter.load(path)
+
     def test_routed_embedder_falls_back(self):
         base = HashEmbedder(16)
         rng = np.random.default_rng(0)
         adapter = Adapter(weights=np.eye(16) + 0.5 * rng.normal(size=(16, 16)))
-        routed = QuestionRoutedEmbedder(base, {"q1": adapter})
+        routed = AdaptedEmbedder(base, {"q1": adapter})
         text = "shared words"
         assert not np.allclose(routed.embed_scoped(text, "q1"), base.embed(text))
         np.testing.assert_allclose(routed.embed_scoped(text, "q2"), base.embed(text))
         np.testing.assert_allclose(routed.embed(text), base.embed(text))
 
+    def test_single_and_routed_adapters(self):
+        base = HashEmbedder(16)
+        rng = np.random.default_rng(1)
+        adapter = Adapter(weights=np.eye(16) + 0.5 * rng.normal(size=(16, 16)))
+        text = "shared words"
+        plain, adapted = base.embed(text), adapter.apply(base.embed(text))
+        single = AdaptedEmbedder(base, adapter)
+        routed = AdaptedEmbedder(base, {"q1": adapter})
+        assert single.embedder_id == "adapted(hash-16)"
+        assert routed.embedder_id == "routed(hash-16)"
+        for question_id in ("q1", "q2", None):
+            np.testing.assert_array_equal(single.embed_scoped(text, question_id), adapted)
+        np.testing.assert_array_equal(single.embed(text), adapted)
+        np.testing.assert_array_equal(routed.embed_scoped(text, "q1"), adapted)
+        for question_id in ("q2", None):
+            np.testing.assert_array_equal(routed.embed_scoped(text, question_id), plain)
+        np.testing.assert_array_equal(routed.embed(text), plain)
+
     def test_adapted_embedder_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             AdaptedEmbedder(HashEmbedder(16), Adapter.identity(8))
+        adapters = {"q1": Adapter.identity(16), "q2": Adapter.identity(8)}
+        with pytest.raises(ValueError, match="question 'q2' has dim 8"):
+            AdaptedEmbedder(HashEmbedder(16), adapters)
 
     def test_retrieval_invariant_to_positive_rescaling(self):
         from ragrade.corpus import Label

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -343,6 +344,28 @@ class TestReplayBackend:
         monkeypatch.delenv("RAGRADE_GLM_MODEL")
         with pytest.raises(GlmError, match="no recorded completion"):
             replay.complete("p", PARAMS)
+
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"{not json",
+            b'"a string"',
+            b'{"completion": "c"}',
+            b'{"prompt_sha256": "ab"}',
+            b'{"prompt_sha256": "ab", "completion": 3}',
+            b'{"prompt_sha256": "ab", "completion": "c", "temperature": [0]}',
+            b'{"prompt_sha256": "ab", "completion": "c\xff"}',
+        ],
+        ids=["not-json", "not-object", "no-digest", "no-completion", "number-completion",
+             "list-temperature", "not-utf8"],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, line):
+        log = tmp_path / "log.jsonl"
+        good = {"prompt_sha256": prompt_digest("p"), "completion": "ok"}
+        log.write_bytes(json.dumps(good).encode() + b"\n\n" + line + b"\n")
+        with pytest.raises(GlmError, match=re.escape(f"{log}:3: bad replay record")):
+            ReplayBackend(log)
 
 
 class TestRateLimiter:

@@ -275,6 +275,35 @@ class TestTrainAdapter:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
 
+    def test_manifest_lists_every_field_in_order(self):
+        config = TrainConfig(
+            loss=LossKind.TRIPLET,
+            batch_size=4,
+            learning_rate=0.25,
+            weight_decay=0.0,
+            max_grad_norm=1.5,
+            margin=0.5,
+            epochs=7,
+            seed=11,
+            scale=2.0,
+        )
+        manifest = config.manifest()
+        assert manifest == {
+            "loss": "triplet",
+            "batch_size": 4,
+            "learning_rate": 0.25,
+            "weight_decay": 0.0,
+            "max_grad_norm": 1.5,
+            "margin": 0.5,
+            "epochs": 7,
+            "seed": 11,
+            "scale": 2.0,
+        }
+        assert list(manifest) == [
+            "loss", "batch_size", "learning_rate", "weight_decay", "max_grad_norm",
+            "margin", "epochs", "seed", "scale",
+        ]
+
 
 class TestTrainForCorpus:
     def corpus(self):

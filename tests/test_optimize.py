@@ -5,7 +5,8 @@ import pytest
 from conftest import make_corpus
 from ragrade.corpus import Label, Scheme
 from ragrade.embedding import HashEmbedder
-from ragrade.glm import GenParams, MockBackend, ScriptedBackend
+from ragrade.glm import GenParams, GlmBackend, MockBackend, ScriptedBackend
+from ragrade.harness import Grader
 from ragrade.optimize import (
     Candidate,
     OptimizerConfig,
@@ -13,7 +14,7 @@ from ragrade.optimize import (
     optimize,
     propose,
 )
-from ragrade.prompts import load_template
+from ragrade.prompts import PromptTemplate, load_template
 from ragrade.vstore import build_store
 
 PARAMS = GenParams(temperature=0.9)
@@ -62,12 +63,21 @@ def evaluator_with_script(completion_lists, gold=GOLD_10):
     backend = ScriptedBackend(flat)
     evaluator = PromptEvaluator(
         corpus.split("ua"),
-        corpus,
-        Scheme.THREE_WAY,
-        backend,
+        Grader(corpus.questions, Scheme.THREE_WAY, DRAFT, backend),
         metric="accuracy",
     )
     return evaluator, backend
+
+
+class RecordingBackend(GlmBackend):
+    """Records every prompt and grades it correct."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return "<judgment>correct</judgment>"
 
 
 class TestPropose:
@@ -121,17 +131,56 @@ class TestEvaluator:
         )
         embedder = HashEmbedder(64)
         store = build_store(list(corpus.split("train")), embedder)
-        evaluator = PromptEvaluator(
-            corpus.split("ua"),
-            corpus,
+        template = load_template("SB3", "with_examples", "cpg")
+        grader = Grader(
+            corpus.questions,
             Scheme.THREE_WAY,
+            template,
             MockBackend(),
             embedder=embedder,
             store=store,
             k=3,
+            same_question_only=True,
+        )
+        evaluator = PromptEvaluator(corpus.split("ua"), grader)
+        assert evaluator.score(template) == 1.0
+
+    @pytest.mark.parametrize("same_question_only", [True, False])
+    def test_grades_with_the_scored_template_and_the_graders_retrieval(self, same_question_only):
+        corpus = make_corpus(
+            {"q1": "Q1?", "q2": "Q2?"},
+            [
+                ("a1", "q1", "train", Label.CORRECT, "electrons flow around the loop"),
+                ("a2", "q1", "train", Label.IRRELEVANT, "bananas are yellow fruit"),
+                ("a3", "q1", "train", Label.CORRECT, "a battery pushes charge"),
+                ("b1", "q2", "train", Label.CONTRADICTORY, "electrons flow around the loop twice"),
+                ("d1", "q1", "ua", Label.CORRECT, "electrons flow around the loop"),
+            ],
+            references={"q1": ["ref"], "q2": ["ref"]},
+        )
+        embedder = HashEmbedder(64)
+        backend = RecordingBackend()
+        own = PromptTemplate(
+            "own", "SB3", "with_examples", "cpg",
+            "Own template {{QUESTION}} {{REFERENCE_ANSWER}} {{EXAMPLES}} {{NEW_ANSWER}}",
+        )
+        grader = Grader(
+            corpus.questions,
+            Scheme.THREE_WAY,
+            own,  # scoring must use the template it is given instead
+            backend,
+            embedder=embedder,
+            store=build_store(list(corpus.split("train")), embedder),
+            k=2,
+            same_question_only=same_question_only,
         )
         template = load_template("SB3", "with_examples", "cpg")
-        assert evaluator.score(template) == 1.0
+        PromptEvaluator(corpus.split("ua"), grader).score(template)
+        [prompt] = backend.prompts
+        assert prompt.startswith(template.body.split("{{")[0])
+        assert "Own template" not in prompt
+        assert prompt.count("\nAnswer: ") == 2  # k retrieved examples
+        assert ("twice" in prompt) is not same_question_only
 
     def test_cache_hits_skip_backend(self):
         evaluator, backend = evaluator_with_script([completions_for_hits(
