@@ -31,39 +31,47 @@ def _project(weights: np.ndarray, base: np.ndarray):
     """Rows of base through W, with norms and unit rows.
 
     Returns (projected, norms, unit) where projected[i] = W @ base[i].
+    A zero or non-finite norm (a collapsed row, or weights that have
+    diverged) raises FloatingPointError before any division.
     """
     projected = base @ weights.T
     norms = np.linalg.norm(projected, axis=1)
-    if np.any(norms == 0.0):
-        raise FloatingPointError("adapter projected a batch row to the zero vector")
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        raise FloatingPointError("adapter projected a batch row to a zero or non-finite vector")
     unit = projected / norms[:, None]
     return projected, norms, unit
 
 
-def _pair_cosines_and_coeff_grad(
-    weights: np.ndarray,
+def _coeff_grad(
     base_a: np.ndarray,
     base_b: np.ndarray,
+    na: np.ndarray,
+    ua: np.ndarray,
+    nb: np.ndarray,
+    ub: np.ndarray,
+    cos: np.ndarray,
     coeffs: np.ndarray,
+    out: np.ndarray | None,
 ) -> np.ndarray:
-    """Gradient of sum_i coeffs[i] * cos_i with respect to W.
+    """Gradient of sum_i coeffs[i] * cos_i with respect to W, into `out`.
 
-    cos_i is the cosine of the adapter embeddings of row i; the chain
-    rule through normalization gives d cos/d p = (v - cos * u) / |p|.
+    cos_i is the cosine of the adapter embeddings (unit rows ua, ub with
+    projection norms na, nb) of row i; the chain rule through
+    normalization gives d cos/d p = (v - cos * u) / |p|.
     """
-    _, na, ua = _project(weights, base_a)
-    _, nb, ub = _project(weights, base_b)
-    cos = np.sum(ua * ub, axis=1)
     ga = (ub - cos[:, None] * ua) * (coeffs / na)[:, None]
     gb = (ua - cos[:, None] * ub) * (coeffs / nb)[:, None]
-    return ga.T @ base_a + gb.T @ base_b
+    out = np.matmul(ga.T, base_a, out=out)
+    out += gb.T @ base_b
+    return out
 
 
-def pair_cosines(weights: np.ndarray, base_a: np.ndarray, base_b: np.ndarray) -> np.ndarray:
-    """Cosines between adapter embeddings of paired rows."""
-    _, _, ua = _project(weights, base_a)
-    _, _, ub = _project(weights, base_b)
-    return np.sum(ua * ub, axis=1)
+def _zero_grad(weights: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """A zero gradient, in `out` when given."""
+    if out is None:
+        return np.zeros_like(weights)
+    out.fill(0.0)
+    return out
 
 
 def cosine_similarity_loss(
@@ -71,18 +79,23 @@ def cosine_similarity_loss(
     base_a: np.ndarray,
     base_b: np.ndarray,
     labels: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean squared residual between pair cosines and their binary labels."""
+    """Mean squared residual between pair cosines and their binary labels.
+
+    The gradient is written into `out` when given, else a new array.
+    """
     base_a = np.asarray(base_a, dtype=np.float64)
     base_b = np.asarray(base_b, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     n = base_a.shape[0]
-    cos = pair_cosines(weights, base_a, base_b)
+    _, na, ua = _project(weights, base_a)
+    _, nb, ub = _project(weights, base_b)
+    cos = np.sum(ua * ub, axis=1)
     residual = cos - labels
     loss = float(np.mean(residual**2))
     coeffs = 2.0 * residual / n
-    grad = _pair_cosines_and_coeff_grad(weights, base_a, base_b, coeffs)
-    return loss, grad
+    return loss, _coeff_grad(base_a, base_b, na, ua, nb, ub, cos, coeffs, out)
 
 
 def cosine_sentence_loss(
@@ -91,13 +104,15 @@ def cosine_sentence_loss(
     base_b: np.ndarray,
     labels: np.ndarray,
     scale: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Ranking loss over all (lower-expected, higher-expected) pair combinations.
 
     log(1 + sum over negative pair i, positive pair j of
     exp(scale * (cos_i - cos_j))).  A batch without both a positive and a
     negative pair has no comparable combinations and contributes zero
-    loss and zero gradient.
+    loss and zero gradient.  The gradient is written into `out` when
+    given, else a new array.
     """
     base_a = np.asarray(base_a, dtype=np.float64)
     base_b = np.asarray(base_b, dtype=np.float64)
@@ -105,16 +120,17 @@ def cosine_sentence_loss(
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
     if len(pos) == 0 or len(neg) == 0:
-        return 0.0, np.zeros_like(weights)
-    cos = pair_cosines(weights, base_a, base_b)
+        return 0.0, _zero_grad(weights, out)
+    _, na, ua = _project(weights, base_a)
+    _, nb, ub = _project(weights, base_b)
+    cos = np.sum(ua * ub, axis=1)
     terms = np.exp(scale * (cos[neg][:, None] - cos[pos][None, :]))
     total = float(terms.sum())
     loss = float(np.log1p(total))
     coeffs = np.zeros(len(labels), dtype=np.float64)
     coeffs[neg] = scale * terms.sum(axis=1) / (1.0 + total)
     coeffs[pos] = -scale * terms.sum(axis=0) / (1.0 + total)
-    grad = _pair_cosines_and_coeff_grad(weights, base_a, base_b, coeffs)
-    return loss, grad
+    return loss, _coeff_grad(base_a, base_b, na, ua, nb, ub, cos, coeffs, out)
 
 
 def triplet_loss(
@@ -123,11 +139,13 @@ def triplet_loss(
     base_positive: np.ndarray,
     base_negative: np.ndarray,
     margin: float = 3.0,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean hinge max(|a-p| - |a-n| + margin, 0) on unit adapter embeddings.
 
     Euclidean distances; at a zero distance the corresponding direction
-    term is taken as zero (a subgradient choice).
+    term is taken as zero (a subgradient choice).  The gradient is
+    written into `out` when given, else a new array.
     """
     base_anchor = np.asarray(base_anchor, dtype=np.float64)
     base_positive = np.asarray(base_positive, dtype=np.float64)
@@ -144,7 +162,7 @@ def triplet_loss(
     active = hinge > 0.0
     loss = float(np.sum(hinge[active]) / n) if np.any(active) else 0.0
 
-    grad = np.zeros_like(weights)
+    grad = _zero_grad(weights, out)
     if np.any(active):
         with np.errstate(divide="ignore", invalid="ignore"):
             dir_ap = np.where(d_ap[:, None] > 0.0, diff_ap / d_ap[:, None], 0.0)
@@ -164,9 +182,16 @@ def triplet_loss(
     return loss, grad
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scale the gradient down so its global (Frobenius) norm is at most max_norm."""
+def clip_gradient(grad: np.ndarray, max_norm: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale the gradient down so its global (Frobenius) norm is at most max_norm.
+
+    The result is written into `out` when given (`out=grad` clips in
+    place); otherwise a clipped gradient is a new array.
+    """
     norm = float(np.linalg.norm(grad))
     if norm > max_norm:
-        return grad * (max_norm / norm)
-    return grad
+        return np.multiply(grad, max_norm / norm, out=out)
+    if out is None or out is grad:
+        return grad
+    np.copyto(out, grad)
+    return out

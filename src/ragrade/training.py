@@ -3,6 +3,13 @@
 Plain full-precision gradient descent with decoupled weight decay and
 global gradient-norm clipping; mini-batches are drawn in seeded shuffled
 order, so a fixed seed reproduces the loss trace bitwise.
+
+A step allocates no d x d array of its own: the loss writes its gradient
+into one buffer held for the whole run, and clipping, the learning-rate
+scale and the weight decay are written over that buffer in place.  The
+elementwise operations and their order are those of the allocating
+update `w -= lr * clip(g); w -= (lr * wd) * w`, so the weights and the
+loss trace equal that update's bitwise.
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ def _embed_texts(base: BaseEmbedder, ids: list[str], texts_by_id: dict[str, str]
     return dict(zip(unique, vectors))
 
 
+# overflow and NaN end training through the checks in the loop, as a
+# TrainingError rather than as RuntimeWarnings
+@np.errstate(over="ignore", invalid="ignore")
 def train_adapter(
     config: TrainConfig,
     examples: list[Pair] | list[Triplet],
@@ -77,7 +87,9 @@ def train_adapter(
 
     Base embeddings are computed once up front; each step projects the
     batch through the current matrix, backpropagates analytically, clips,
-    applies weight decay, and descends.  Aborts on a non-finite loss.
+    applies weight decay, and descends.  A non-finite loss, a batch row
+    projected to a zero or non-finite vector, or non-finite final weights
+    end training with a TrainingError that names the step.
     """
     if not examples:
         raise TrainingError("empty training set")
@@ -107,37 +119,48 @@ def train_adapter(
             raise TrainingError("pair labels must be 0 or 1")
 
     weights = np.eye(base.dim, dtype=np.float64)
+    grad = np.empty_like(weights)
     rng = np.random.default_rng(config.seed)
     n = len(examples)
     batch_losses: list[float] = []
     epoch_means: list[float] = []
+    after = "before the first step"
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            if config.loss is LossKind.COSINE_SIMILARITY:
-                loss, grad = cosine_similarity_loss(
-                    weights, left[batch], mid[batch], labels[batch]
-                )
-            elif config.loss is LossKind.COSINE_SENTENCE:
-                loss, grad = cosine_sentence_loss(
-                    weights, left[batch], mid[batch], labels[batch], scale=config.scale
-                )
-            else:
-                loss, grad = triplet_loss(
-                    weights, left[batch], mid[batch], right[batch], margin=config.margin
-                )
+            where = f"epoch {epoch}, batch {start // config.batch_size}"
+            try:
+                if config.loss is LossKind.COSINE_SIMILARITY:
+                    loss, _ = cosine_similarity_loss(
+                        weights, left[batch], mid[batch], labels[batch], out=grad
+                    )
+                elif config.loss is LossKind.COSINE_SENTENCE:
+                    loss, _ = cosine_sentence_loss(
+                        weights, left[batch], mid[batch], labels[batch], scale=config.scale, out=grad
+                    )
+                else:
+                    loss, _ = triplet_loss(
+                        weights, left[batch], mid[batch], right[batch], margin=config.margin, out=grad
+                    )
+            except FloatingPointError as exc:  # a zero or non-finite projection
+                raise TrainingError(f"{exc} {after}") from exc
             if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            grad = clip_gradient(grad, config.max_grad_norm)
-            weights -= config.learning_rate * grad
-            weights -= config.learning_rate * config.weight_decay * weights
+                raise TrainingError(f"non-finite loss {loss} at {where}")
+            # grad * clip, lr * grad and (lr * wd) * weights, each written over grad
+            clip_gradient(grad, config.max_grad_norm, out=grad)
+            np.multiply(grad, config.learning_rate, out=grad)
+            weights -= grad
+            np.multiply(weights, config.learning_rate * config.weight_decay, out=grad)
+            weights -= grad
+            after = f"after {where}"
             batch_losses.append(loss)
             epoch_losses.append(loss)
         epoch_means.append(float(np.mean(epoch_losses)))
+    # the last step's weights are not projected again
+    if not np.all(np.isfinite(weights)):
+        raise TrainingError(f"non-finite adapter weights {after}")
 
     adapter = Adapter(
         weights=weights,
@@ -176,5 +199,8 @@ def train_for_corpus(
         if not examples:
             continue
         qconfig = dataclasses.replace(config, seed=derive_seed(config.seed, qid, "train"))
-        results[qid] = train_adapter(qconfig, examples, texts_by_id, base)
+        try:
+            results[qid] = train_adapter(qconfig, examples, texts_by_id, base)
+        except TrainingError as exc:
+            raise TrainingError(f"question {qid!r}: {exc}") from exc
     return results

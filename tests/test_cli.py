@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,44 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert cli(["validate"]) == EXIT_USAGE
+
+
+def run_module(*args, cwd):
+    """`python -m ragrade.cli ARGS` in a child process, importing this checkout's package."""
+    src = str(Path(ragrade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "ragrade.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+class TestModuleEntry:
+    def test_help_prints_usage(self, tmp_path):
+        done = run_module("--help", cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage:")
+        assert "train-embedder" in done.stdout
+
+    def test_bad_replay_path_exits_non_zero(self, corpus_arg, tmp_path):
+        done = run_module(
+            "evaluate", "--corpus", corpus_arg, "--backend", f"replay:{tmp_path / 'bad.jsonl'}",
+            cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr.startswith("error:")
+
+    def test_diverging_training_names_the_question_without_warnings(self, corpus_arg, tmp_path):
+        done = run_module(
+            "train-embedder", "--corpus", corpus_arg, "--loss", "triplet", "--lr", "1e300",
+            "--dim", "32", "--out-dir", str(tmp_path / "adapters"),
+            cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_RUNTIME
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr  # no RuntimeWarning from numpy
+        assert lines[0].startswith("error: question ")
+        assert "non-finite" in lines[0] and "after epoch 0, batch 0" in lines[0]
 
 
 class TestValidate:

@@ -1,6 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ragrade.corpus import Scheme
 from ragrade.embedding import HashEmbedder
 from ragrade.losses import (
     LossKind,
@@ -10,8 +14,8 @@ from ragrade.losses import (
     cosine_similarity_loss,
     triplet_loss,
 )
-from ragrade.training import TrainConfig, TrainingError, train_adapter
-from ragrade.pairs import Pair, Triplet
+from ragrade.training import TrainConfig, TrainingError, train_adapter, train_for_corpus
+from ragrade.pairs import Pair, Scope, Strategy, Triplet, build_training_sets, derive_seed
 
 
 def unit_rows(rng, n, d):
@@ -305,6 +309,200 @@ class TestTrainAdapter:
         ]
 
 
+FOUR_TEXTS = {
+    "a0": "magnet coil field",
+    "a1": "magnet winding field",
+    "b0": "enzyme substrate protein",
+    "b1": "enzyme reaction protein",
+}
+FOUR_PAIRS = [
+    Pair(a_id="a0", b_id="a1", question_id="q", label=1),
+    Pair(a_id="b0", b_id="b1", question_id="q", label=1),
+    Pair(a_id="a0", b_id="b0", question_id="q", label=0),
+    Pair(a_id="a1", b_id="b1", question_id="q", label=0),
+]
+TWO_TRIPLETS = [
+    Triplet(anchor_id="a0", positive_id="a1", negative_id="b0", question_id="q"),
+    Triplet(anchor_id="b0", positive_id="b1", negative_id="a0", question_id="q"),
+]
+
+
+class TestNonFiniteWeights:
+    """A step that leaves the weights non-finite ends training with a
+    TrainingError that names where, and without a numpy RuntimeWarning."""
+
+    @pytest.mark.parametrize(
+        "loss, examples, lr",
+        [
+            (LossKind.COSINE_SENTENCE, FOUR_PAIRS, 1e200),
+            (LossKind.COSINE_SIMILARITY, FOUR_PAIRS, 1e300),
+            (LossKind.TRIPLET, TWO_TRIPLETS, 1e300),
+        ],
+        ids=["cosine_sentence", "cosine_similarity", "triplet"],
+    )
+    @pytest.mark.parametrize("epochs", [1, 2, 5])
+    def test_training_error_names_epoch_and_batch(self, loss, examples, lr, epochs):
+        config = TrainConfig(loss=loss, epochs=epochs, learning_rate=lr, batch_size=4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+"):
+                train_adapter(config, examples, FOUR_TEXTS, HashEmbedder(16))
+
+    def test_triplet_weights_are_checked_although_the_hinge_reads_zero(self):
+        # one batch per epoch: the first step's weight decay overflows, and
+        # every later NaN hinge counts as inactive, so the loss alone reads 0.0
+        config = TrainConfig(loss=LossKind.TRIPLET, epochs=3, learning_rate=1e300, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match="non-finite.* after epoch 0, batch 0$"):
+                train_adapter(config, TWO_TRIPLETS, FOUR_TEXTS, HashEmbedder(16))
+
+
+def reference_train(config, examples, texts_by_id, base):
+    """`train_adapter`'s loop as it was before the in-place update: every
+    step allocates its gradient, its clipped copy, lr * grad and
+    lr * wd * weights.  Returns (weights, batch losses, gradient norm per step)."""
+    triplet_mode = config.loss is LossKind.TRIPLET
+    fields = ("anchor_id", "positive_id", "negative_id") if triplet_mode else ("a_id", "b_id")
+    ids = sorted({getattr(e, f) for e in examples for f in fields})
+    cache = dict(zip(ids, base.embed_many([texts_by_id[i] for i in ids])))
+    sides = [np.stack([cache[getattr(e, f)] for e in examples]) for f in fields]
+    labels = None if triplet_mode else np.array([e.label for e in examples], dtype=np.float64)
+    weights = np.eye(base.dim, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    batch_losses, grad_norms = [], []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            rows = [side[batch] for side in sides]
+            if config.loss is LossKind.COSINE_SIMILARITY:
+                loss, grad = cosine_similarity_loss(weights, *rows, labels[batch])
+            elif config.loss is LossKind.COSINE_SENTENCE:
+                loss, grad = cosine_sentence_loss(weights, *rows, labels[batch], scale=config.scale)
+            else:
+                loss, grad = triplet_loss(weights, *rows, margin=config.margin)
+            grad_norms.append(float(np.linalg.norm(grad)))
+            grad = clip_gradient(grad, config.max_grad_norm)
+            weights -= config.learning_rate * grad
+            weights -= config.learning_rate * config.weight_decay * weights
+            batch_losses.append(loss)
+    return weights, batch_losses, grad_norms
+
+
+def two_family_corpus():
+    """Three questions with eight train answers each over two token families."""
+    from conftest import make_corpus
+    from ragrade.corpus import Label
+
+    rng = np.random.default_rng(5)
+    families = (
+        ["magnet", "coil", "flux", "winding", "field", "current"],
+        ["enzyme", "protein", "substrate", "catalyst", "reaction", "vial"],
+    )
+    labels = [Label.CORRECT, Label.CONTRADICTORY, Label.IRRELEVANT]
+    rows = []
+    for q in ("q1", "q2", "q3"):
+        for i in range(8):
+            label = labels[i % 3]
+            words = rng.choice(families[label is Label.CORRECT], size=4)
+            rows.append((f"{q}r{i}", q, "train", label, " ".join(words) + f" {q} n{i}"))
+    return make_corpus({"q1": "Q1?", "q2": "Q2?", "q3": "Q3?"}, rows)
+
+
+# per loss: a config whose steps clip some gradients and not others, and
+# whose batches of two include single-label pair batches and triplet
+# batches with no active hinge, so the zero-gradient paths run too
+BITWISE_CONFIGS = {
+    LossKind.COSINE_SIMILARITY: TrainConfig(
+        loss=LossKind.COSINE_SIMILARITY, batch_size=2, learning_rate=0.3,
+        weight_decay=1e-3, max_grad_norm=0.4, epochs=3, seed=4,
+    ),
+    LossKind.COSINE_SENTENCE: TrainConfig(
+        loss=LossKind.COSINE_SENTENCE, batch_size=2, learning_rate=0.3,
+        weight_decay=1e-3, max_grad_norm=0.8, epochs=3, seed=4, scale=2.0,
+    ),
+    LossKind.TRIPLET: TrainConfig(
+        loss=LossKind.TRIPLET, batch_size=2, learning_rate=0.3,
+        weight_decay=1e-3, max_grad_norm=0.7, margin=0.1, epochs=3, seed=4,
+    ),
+}
+LOSS_IDS = [kind.value for kind in BITWISE_CONFIGS]
+
+
+class TestInPlaceStepMatchesReference:
+    """The in-place training step gives bitwise the weights and losses of
+    the allocate-per-step loop in `reference_train`."""
+
+    @pytest.mark.parametrize("loss", list(BITWISE_CONFIGS), ids=LOSS_IDS)
+    @pytest.mark.parametrize("scope", [Scope.QUESTION, Scope.GLOBAL], ids=["question", "global"])
+    def test_weights_and_losses_bitwise_equal(self, loss, scope):
+        corpus = two_family_corpus()
+        texts = {r.id: r.text for r in corpus.split("train")}
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, scope, seed=3)
+        config = BITWISE_CONFIGS[loss]
+        base = HashEmbedder(24)
+        results = train_for_corpus(config, corpus, sets, base)
+        if scope is Scope.GLOBAL:
+            merged = sets.merged_triplets() if loss is LossKind.TRIPLET else sets.merged_pairs()
+            jobs = {"global": (config, merged)}
+        else:
+            source = sets.triplet_sets if loss is LossKind.TRIPLET else sets.pair_sets
+            jobs = {
+                qid: (replace(config, seed=derive_seed(config.seed, qid, "train")), examples)
+                for qid, examples in source.items()
+            }
+        assert list(results) == list(jobs)
+        norms = []
+        for key, (job_config, examples) in jobs.items():
+            weights, batch_losses, grad_norms = reference_train(job_config, examples, texts, base)
+            assert results[key].adapter.weights.tobytes() == weights.tobytes()
+            assert results[key].batch_losses == batch_losses
+            norms += grad_norms
+        assert any(n > config.max_grad_norm for n in norms)  # clipping active
+        assert any(0.0 < n <= config.max_grad_norm for n in norms)  # and inactive
+        if loss is not LossKind.COSINE_SIMILARITY:
+            assert 0.0 in norms  # a single-label pair batch, or no active hinge
+
+    @pytest.mark.parametrize("loss", list(BITWISE_CONFIGS), ids=LOSS_IDS)
+    def test_gradient_into_out_equals_a_new_gradient(self, loss):
+        rng = np.random.default_rng(12)
+        d = 10
+        weights = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+        a, b, c = (unit_rows(rng, 4, d) for _ in range(3))
+        calls = {
+            LossKind.COSINE_SIMILARITY: [
+                lambda **kw: cosine_similarity_loss(weights, a, b, np.array([1, 0, 1, 0]), **kw),
+            ],
+            LossKind.COSINE_SENTENCE: [
+                lambda **kw: cosine_sentence_loss(weights, a, b, np.array([1, 0, 0, 1]), scale=2.0, **kw),
+                lambda **kw: cosine_sentence_loss(weights, a, b, np.array([1, 1, 1, 1]), **kw),
+            ],
+            LossKind.TRIPLET: [
+                lambda **kw: triplet_loss(weights, a, b, c, margin=3.0, **kw),
+                lambda **kw: triplet_loss(weights, a, a, -a, margin=0.5, **kw),  # no active hinge
+            ],
+        }[loss]
+        for call in calls:
+            loss_new, grad_new = call()
+            out = np.full((d, d), np.nan)
+            loss_out, grad_out = call(out=out)
+            assert grad_out is out
+            assert loss_out == loss_new
+            assert grad_out.tobytes() == grad_new.tobytes()
+
+    def test_clip_gradient_into_out(self):
+        grad = np.random.default_rng(2).normal(size=(6, 6))
+        for max_norm in (0.5, 100.0):
+            expected = clip_gradient(grad, max_norm).tobytes()
+            out = np.full_like(grad, np.nan)
+            assert clip_gradient(grad, max_norm, out=out) is out
+            assert out.tobytes() == expected
+            in_place = grad.copy()
+            assert clip_gradient(in_place, max_norm, out=in_place) is in_place
+            assert in_place.tobytes() == expected
+
+
 class TestTrainForCorpus:
     def corpus(self):
         from conftest import make_corpus
@@ -348,3 +546,12 @@ class TestTrainForCorpus:
         config = TrainConfig(loss=LossKind.COSINE_SIMILARITY, epochs=1, learning_rate=0.2, seed=2)
         results = train_for_corpus(config, corpus, sets, HashEmbedder(32))
         assert list(results) == ["global"]
+
+    def test_question_scope_error_names_the_question(self):
+        corpus = self.corpus()
+        sets = build_training_sets(corpus, Scheme.TWO_WAY, Strategy.GENERAL, Scope.QUESTION, seed=2)
+        config = TrainConfig(loss=LossKind.TRIPLET, epochs=2, learning_rate=1e300, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match=r"question 'q1'.*epoch \d+, batch \d+"):
+                train_for_corpus(config, corpus, sets, HashEmbedder(32))
