@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +29,7 @@ from .glm import (
 from .losses import LossKind
 from .metrics import ConfusionMatrix, per_class_stats, summarize
 from .pairs import Scope, Strategy, build_training_sets
+from .pool import in_order
 from .prompts import (
     PromptBindings,
     PromptTemplate,
@@ -221,7 +220,7 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
 
     prompts = map(prompt_for, responses)
     workers = getattr(g.backend, "concurrency", 1)
-    verdicts = map(judge, prompts) if workers <= 1 else _in_order(judge, prompts, workers)
+    verdicts = map(judge, prompts) if workers <= 1 else in_order(judge, prompts, workers)
     outcome = GradingOutcome(predictions=[], gold=[])
     # strict: verdicts is read to its end, which shuts a pool down at once
     for r, (label, failure) in zip(responses, verdicts, strict=True):
@@ -230,30 +229,6 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
         outcome.predictions.append(label)
         outcome.gold.append(collapse_label(r.label, g.scheme))
     return outcome
-
-
-def _in_order(task, items, workers: int):
-    """task(item) for each item on a pool of workers, yielded in item order.
-
-    Items are drawn lazily, at most 2 * workers ahead of the result being
-    waited for.  When a task raises, the tasks not yet started are
-    cancelled and the error propagates once the running ones finish.
-    """
-    # No local variable may name a future whose result is being read: the
-    # error it raises holds this frame, and the frame would hold the future
-    # that holds the error, a cycle that keeps the grader's store alive
-    # until the garbage collector runs.
-    pending = deque()
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for item in items:
-            pending.append(pool.submit(task, item))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 @dataclass

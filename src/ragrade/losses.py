@@ -3,7 +3,9 @@
 Every loss takes the adapter matrix plus batches of *base* embeddings and
 differentiates through the projection and the re-normalization, returning
 (scalar loss, gradient with respect to the matrix).  All arithmetic is
-float64.
+float64.  A gradient is the sum of two (three for triplets) d x d
+products; given `out` and `scratch`, the sum is written into `out` and
+each later product into `scratch`, so a loss allocates no d x d array.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def _coeff_grad(
     cos: np.ndarray,
     coeffs: np.ndarray,
     out: np.ndarray | None,
+    scratch: np.ndarray | None,
 ) -> np.ndarray:
     """Gradient of sum_i coeffs[i] * cos_i with respect to W, into `out`.
 
@@ -62,7 +65,7 @@ def _coeff_grad(
     ga = (ub - cos[:, None] * ua) * (coeffs / na)[:, None]
     gb = (ua - cos[:, None] * ub) * (coeffs / nb)[:, None]
     out = np.matmul(ga.T, base_a, out=out)
-    out += gb.T @ base_b
+    out += np.matmul(gb.T, base_b, out=scratch)
     return out
 
 
@@ -80,6 +83,7 @@ def cosine_similarity_loss(
     base_b: np.ndarray,
     labels: np.ndarray,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean squared residual between pair cosines and their binary labels.
 
@@ -95,7 +99,7 @@ def cosine_similarity_loss(
     residual = cos - labels
     loss = float(np.mean(residual**2))
     coeffs = 2.0 * residual / n
-    return loss, _coeff_grad(base_a, base_b, na, ua, nb, ub, cos, coeffs, out)
+    return loss, _coeff_grad(base_a, base_b, na, ua, nb, ub, cos, coeffs, out, scratch)
 
 
 def cosine_sentence_loss(
@@ -105,6 +109,7 @@ def cosine_sentence_loss(
     labels: np.ndarray,
     scale: float = 1.0,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Ranking loss over all (lower-expected, higher-expected) pair combinations.
 
@@ -130,7 +135,7 @@ def cosine_sentence_loss(
     coeffs = np.zeros(len(labels), dtype=np.float64)
     coeffs[neg] = scale * terms.sum(axis=1) / (1.0 + total)
     coeffs[pos] = -scale * terms.sum(axis=0) / (1.0 + total)
-    return loss, _coeff_grad(base_a, base_b, na, ua, nb, ub, cos, coeffs, out)
+    return loss, _coeff_grad(base_a, base_b, na, ua, nb, ub, cos, coeffs, out, scratch)
 
 
 def triplet_loss(
@@ -140,6 +145,7 @@ def triplet_loss(
     base_negative: np.ndarray,
     margin: float = 3.0,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean hinge max(|a-p| - |a-n| + margin, 0) on unit adapter embeddings.
 
@@ -178,7 +184,7 @@ def triplet_loss(
         ):
             # chain through normalization: (I - u u^T) g / |p|
             tangent = grad_u - unit * np.sum(grad_u * unit, axis=1)[:, None]
-            grad += (tangent / norms[:, None]).T @ base
+            grad += np.matmul((tangent / norms[:, None]).T, base, out=scratch)
     return loss, grad
 
 

@@ -82,6 +82,19 @@ class TestModuleEntry:
         assert "non-finite" in lines[0] and "after epoch 0, batch 0" in lines[0]
 
 
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_batch_size_below_one_exits_runtime_and_writes_nothing(self, corpus_arg, tmp_path, batch_size):
+        out = tmp_path / "adapters"
+        done = run_module(
+            "train-embedder", "--corpus", corpus_arg, "--loss", "cosine_similarity",
+            "--batch-size", batch_size, "--dim", "16", "--out-dir", str(out),
+            cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr == f"error: batch_size must be >= 1, got {batch_size}\n"
+        assert not out.exists()
+
+
 class TestValidate:
     def test_ok(self, corpus_arg, capsys):
         assert cli(["validate", "--corpus", corpus_arg]) == EXIT_OK

@@ -1,5 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +22,9 @@ from ragrade.losses import (
     cosine_similarity_loss,
     triplet_loss,
 )
+import ragrade.training
 from ragrade.training import TrainConfig, TrainingError, train_adapter, train_for_corpus
-from ragrade.pairs import Pair, Scope, Strategy, Triplet, build_training_sets, derive_seed
+from ragrade.pairs import Pair, Scope, Strategy, TrainingSets, Triplet, build_training_sets, derive_seed
 
 
 def unit_rows(rng, n, d):
@@ -279,6 +288,17 @@ class TestTrainAdapter:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("loss", [LossKind.COSINE_SIMILARITY, LossKind.TRIPLET], ids=["cosine_similarity", "triplet"])
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, loss, batch_size):
+        with pytest.raises(ValueError, match=rf"batch_size must be >= 1, got {batch_size}$"):
+            TrainConfig(loss=loss, batch_size=batch_size)
+
+    @pytest.mark.parametrize("max_grad_norm", [0.0, -1.0, float("nan")])
+    def test_max_grad_norm_must_be_positive(self, max_grad_norm):
+        with pytest.raises(ValueError, match=rf"max_grad_norm must be positive, got {max_grad_norm}$"):
+            TrainConfig(max_grad_norm=max_grad_norm)
+
     def test_manifest_lists_every_field_in_order(self):
         config = TrainConfig(
             loss=LossKind.TRIPLET,
@@ -390,8 +410,8 @@ def reference_train(config, examples, texts_by_id, base):
     return weights, batch_losses, grad_norms
 
 
-def two_family_corpus():
-    """Three questions with eight train answers each over two token families."""
+def two_family_corpus(questions=("q1", "q2", "q3")):
+    """Questions with eight train answers each over two token families."""
     from conftest import make_corpus
     from ragrade.corpus import Label
 
@@ -402,12 +422,12 @@ def two_family_corpus():
     )
     labels = [Label.CORRECT, Label.CONTRADICTORY, Label.IRRELEVANT]
     rows = []
-    for q in ("q1", "q2", "q3"):
+    for q in questions:
         for i in range(8):
             label = labels[i % 3]
             words = rng.choice(families[label is Label.CORRECT], size=4)
             rows.append((f"{q}r{i}", q, "train", label, " ".join(words) + f" {q} n{i}"))
-    return make_corpus({"q1": "Q1?", "q2": "Q2?", "q3": "Q3?"}, rows)
+    return make_corpus({q: f"{q.upper()}?" for q in questions}, rows)
 
 
 # per loss: a config whose steps clip some gradients and not others, and
@@ -485,11 +505,14 @@ class TestInPlaceStepMatchesReference:
         }[loss]
         for call in calls:
             loss_new, grad_new = call()
-            out = np.full((d, d), np.nan)
-            loss_out, grad_out = call(out=out)
-            assert grad_out is out
-            assert loss_out == loss_new
-            assert grad_out.tobytes() == grad_new.tobytes()
+            for buffers in ({"out"}, {"scratch"}, {"out", "scratch"}):
+                kwargs = {name: np.full((d, d), np.nan) for name in buffers}
+                loss_out, grad_out = call(**kwargs)
+                if "out" in kwargs:
+                    assert grad_out is kwargs["out"]
+                assert grad_out is not kwargs.get("scratch")
+                assert loss_out == loss_new
+                assert grad_out.tobytes() == grad_new.tobytes()
 
     def test_clip_gradient_into_out(self):
         grad = np.random.default_rng(2).normal(size=(6, 6))
@@ -555,3 +578,166 @@ class TestTrainForCorpus:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(TrainingError, match=r"question 'q1'.*epoch \d+, batch \d+"):
                 train_for_corpus(config, corpus, sets, HashEmbedder(32))
+
+
+def force_pool(monkeypatch, workers):
+    """Make `train_for_corpus` pool at `workers` (1 BLAS thread on that many
+    CPUs); returns the list of pool sizes `in_order` is then called with."""
+    sizes = []
+    real_in_order = ragrade.training.in_order
+
+    def recording_in_order(task, items, n):
+        sizes.append(n)
+        return real_in_order(task, items, n)
+
+    monkeypatch.setattr(ragrade.training, "blas_threads", lambda: 1)
+    monkeypatch.setattr(ragrade.training, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(ragrade.training, "in_order", recording_in_order)
+    return sizes
+
+
+def force_inline(monkeypatch):
+    monkeypatch.setattr(ragrade.training, "blas_threads", lambda: None)
+
+
+FIVE_QUESTIONS = ("q1", "q2", "q3", "q4", "q5")
+
+
+class TestPooledTraining:
+    """Question-scope training on a thread pool gives bitwise the results
+    and the error of the sequential loop, with the base embedder called on
+    the calling thread only."""
+
+    @pytest.mark.parametrize("loss", list(BITWISE_CONFIGS), ids=LOSS_IDS)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pooled_equals_sequential(self, monkeypatch, loss, workers):
+        corpus = two_family_corpus(FIVE_QUESTIONS)
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        config = BITWISE_CONFIGS[loss]
+        force_inline(monkeypatch)
+        sequential = train_for_corpus(config, corpus, sets, HashEmbedder(24))
+        sizes = force_pool(monkeypatch, workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            pooled = train_for_corpus(config, corpus, sets, HashEmbedder(24))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [workers]
+        assert list(pooled) == list(sequential) == list(FIVE_QUESTIONS)
+        for qid, result in sequential.items():
+            assert pooled[qid].adapter.weights.tobytes() == result.adapter.weights.tobytes()
+            assert pooled[qid].batch_losses == result.batch_losses
+            assert pooled[qid].epoch_means == result.epoch_means
+            assert pooled[qid].adapter.trained_on == result.adapter.trained_on
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_first_error_in_question_order(self, monkeypatch, workers):
+        """q2 and q4 each hold a text that embeds to the zero vector.  q4
+        fails at its first step, while q2 fails some tens of steps in, each
+        step slowed to 1 ms, after q1, q3 and q4 are done.  The error
+        raised is still q2's, worded as the sequential loop words it."""
+        from conftest import make_corpus
+        from ragrade.corpus import Label
+
+        class ZeroForPoison(HashEmbedder):
+            def embed(self, text):
+                return np.zeros(self.dim) if "poison" in text else super().embed(text)
+
+        sizes = {"q1": 2, "q2": 16, "q3": 2, "q4": 1}
+        texts = {f"{q}t{i}": f"answer {i} about {q} field coil" for q, n in sizes.items() for i in range(n)}
+        texts["q2bad"] = texts["q4bad"] = "poison"
+        corpus = make_corpus(
+            {q: f"{q}?" for q in sizes},
+            [(rid, rid[:2], "train", Label.CORRECT, text) for rid, text in texts.items()],
+        )
+        pair_sets = {
+            q: [
+                Pair(a_id=f"{q}t{i}", b_id=f"{q}t{j}", question_id=q, label=(i + j) % 2)
+                for i in range(n) for j in range(i + 1, n)
+            ]
+            for q, n in sizes.items()
+        }
+        pair_sets["q2"].append(Pair(a_id="q2t0", b_id="q2bad", question_id="q2", label=0))
+        pair_sets["q4"] = [Pair(a_id="q4t0", b_id="q4bad", question_id="q4", label=0)]
+        sets = TrainingSets(Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, 0, pair_sets, {})
+        config = TrainConfig(loss=LossKind.COSINE_SIMILARITY, batch_size=2, learning_rate=0.1, epochs=2)
+        loss = ragrade.training.cosine_similarity_loss
+
+        def slow_loss(*args, **kwargs):
+            time.sleep(0.001)
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(ragrade.training, "cosine_similarity_loss", slow_loss)
+
+        def error():
+            with pytest.raises(TrainingError) as info:
+                train_for_corpus(config, corpus, sets, ZeroForPoison(16))
+            return str(info.value)
+
+        force_inline(monkeypatch)
+        expected = error()
+        assert expected.startswith("question 'q2': adapter projected a batch row to a zero")
+        failed_at = int(re.search(r"after epoch 0, batch (\d+)$", expected).group(1))
+        assert failed_at >= 20  # q2 outlasts the other questions' steps
+        pooled = force_pool(monkeypatch, workers)
+        assert error() == expected
+        assert pooled == [workers]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_each_text_embedded_once_on_the_calling_thread(self, monkeypatch, workers):
+        class Spy(HashEmbedder):
+            def __init__(self, dim):
+                super().__init__(dim)
+                self.calls = []
+
+            def embed(self, text):
+                self.calls.append((text, threading.get_ident()))
+                return super().embed(text)
+
+        corpus = two_family_corpus(FIVE_QUESTIONS)
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        sizes = force_pool(monkeypatch, workers)
+        spy = Spy(24)
+        train_for_corpus(BITWISE_CONFIGS[LossKind.COSINE_SENTENCE], corpus, sets, spy)
+        assert sizes == [workers]
+        texts = {r.id: r.text for r in corpus.split("train")}
+        wanted = {texts[i] for pairs in sets.pair_sets.values() for p in pairs for i in (p.a_id, p.b_id)}
+        embedded = Counter(text for text, _ in spy.calls)
+        assert set(embedded) == wanted
+        assert set(embedded.values()) == {1}
+        assert {ident for _, ident in spy.calls} == {threading.get_ident()}
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "threads, cpus, questions, workers",
+        [
+            (None, 8, 6, 1),  # BLAS thread count unreadable
+            (4, 4, 6, 1),  # BLAS threads fill the CPUs
+            (5, 4, 6, 1),
+            (16, 4, 6, 1),
+            (2, 8, 6, 4),  # two BLAS threads per worker
+            (1, 4, 6, 4),  # one BLAS thread: a worker per CPU and question
+            (1, 4, 3, 3),
+            (1, 1, 6, 1),
+            (1, 4, 0, 1),
+        ],
+    )
+    def test_workers_from_blas_threads_cpus_and_questions(self, monkeypatch, threads, cpus, questions, workers):
+        monkeypatch.setattr(ragrade.training, "blas_threads", lambda: threads)
+        monkeypatch.setattr(ragrade.training, "usable_cpus", lambda: cpus)
+        assert ragrade.training._pool_size(questions) == workers
+
+    def test_blas_threads_reads_the_process_setting(self, tmp_path):
+        src = str(Path(ragrade.training.__file__).resolve().parents[1])
+        code = "import numpy; from ragrade.pool import blas_threads; print(blas_threads())"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert done.returncode == 0, done.stderr
+        if done.stdout.strip() == "None":
+            pytest.skip("numpy does not use OpenBLAS here")
+        assert done.stdout.strip() == "1"
