@@ -4,40 +4,40 @@ Plain full-precision gradient descent with decoupled weight decay and
 global gradient-norm clipping; mini-batches are drawn in seeded shuffled
 order, so a fixed seed reproduces the loss trace bitwise.
 
-A step allocates no d x d array: the loss writes its gradient into one
-buffer held for the whole run (summing its products through a second
-one), and clipping, the learning-rate scale and the weight decay are
-written over that buffer in place.  The elementwise operations and
-their order are those of the allocating update
-`w -= lr * clip(g); w -= (lr * wd) * w`, so the weights and the loss
-trace equal that update's bitwise.
+Descent starts at W = I, every gradient is a sum of row gradients times
+the training set's base embeddings, and clipping and weight decay only
+rescale, so every iterate is W = a*I + coef.T @ span for a scalar a.
+The span is the set's n distinct base embeddings when n < d (the
+representer form), else the identity.  The steps update a and coef, so
+with n distinct texts a step costs n x n and n x d work instead of
+d x d, and W is formed once, after the last step.  In exact arithmetic
+this is the dense update `w -= lr * clip(g); w -= (lr * wd) * w`; in
+floating point it differs from it in rounding only.
 
-Question-scope training fits the questions' adapters on a thread pool
-when the process's BLAS threads leave CPUs idle.  The calling thread
-embeds every question's texts and allocates every d x d array; the
-workers only run the steps, each from its own seed, so the results equal
-the sequential loop's bitwise.
+Question-scope training fits one adapter per question, in question order,
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Corpus
 from .embedding import Adapter, BaseEmbedder
-from .losses import (
+from .losses import (  # noqa: F401  perfbench's tracer wraps the d x d losses by name here
     LossKind,
-    clip_gradient,
     cosine_sentence_loss,
+    cosine_sentence_rows,
     cosine_similarity_loss,
+    cosine_similarity_rows,
     triplet_loss,
+    triplet_rows,
 )
 from .pairs import Pair, Scope, TrainingSets, Triplet, derive_seed
-from .pool import blas_threads, in_order, usable_cpus
 
 
 class TrainingError(Exception):
@@ -63,10 +63,11 @@ class TrainConfig:
             raise ValueError(f"cosine_sentence loss needs batch_size >= 2, got {self.batch_size}")
         if not self.max_grad_norm > 0:
             raise ValueError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate must be positive, weight_decay non-negative")
+        for name in ("learning_rate", "margin", "scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
 
@@ -124,23 +125,41 @@ def _embed_examples(
     )
 
 
+@dataclass
+class _Basis:
+    """The span an adapter is trained in: W = a*I + coef.T @ span.
+
+    `span` is the m x d matrix of basis rows, or None for the identity
+    (m = d).  Text i is projected as a * emb[i] + coords[i] @ coef, and a
+    gradient g with respect to its projected row moves coef by the outer
+    product of loadings[i] and g.
+    """
+
+    span: np.ndarray | None
+    coords: np.ndarray  # (texts, m)
+    loadings: np.ndarray  # (texts, m)
+
+
+def _basis(emb: np.ndarray) -> _Basis:
+    """The distinct texts when there are fewer of them than dimensions, else the identity."""
+    n, d = emb.shape
+    if n >= d:
+        return _Basis(span=None, coords=emb, loadings=emb)
+    return _Basis(span=emb, coords=emb @ emb.T, loadings=np.eye(n))
+
+
 # overflow and NaN end training through the checks in the loop, as a
 # TrainingError rather than as RuntimeWarnings
 @np.errstate(over="ignore", invalid="ignore")
-def _descend(
-    config: TrainConfig,
-    ex: _Examples,
-    weights: np.ndarray,
-    grad: np.ndarray,
-    scratch: np.ndarray,
-) -> tuple[list[float], list[float]]:
-    """Run the config's steps on `weights` in place; (batch losses, epoch means).
-
-    `grad` and `scratch` are d x d buffers for the losses' gradient
-    products, so the steps allocate no d x d array.
-    """
+def _descend(config: TrainConfig, ex: _Examples) -> tuple[np.ndarray, list[float], list[float]]:
+    """Run the config's steps from W = I; (weights, batch losses, epoch means)."""
+    sides, n = ex.rows.shape
+    d = ex.emb.shape[1]
+    basis = _basis(ex.emb)
+    coef = np.zeros((basis.coords.shape[1], d))
+    a = 1.0  # W = a*I + coef.T @ span
+    decay = config.learning_rate * config.weight_decay
     rng = np.random.default_rng(config.seed)
-    n = ex.rows.shape[1]
     labels = ex.labels
     batch_losses: list[float] = []
     epoch_means: list[float] = []
@@ -150,60 +169,40 @@ def _descend(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            sides = [ex.emb[rows[batch]] for rows in ex.rows]
+            rows = ex.rows[:, batch].ravel()  # side by side
+            emb = ex.emb[rows]
+            projected = (a * emb + basis.coords[rows] @ coef).reshape(sides, -1, d)
             where = f"epoch {epoch}, batch {start // config.batch_size}"
             try:
                 if config.loss is LossKind.COSINE_SIMILARITY:
-                    loss, _ = cosine_similarity_loss(
-                        weights, *sides, labels[batch], out=grad, scratch=scratch
-                    )
+                    loss, row_grads = cosine_similarity_rows(projected, labels[batch])
                 elif config.loss is LossKind.COSINE_SENTENCE:
-                    loss, _ = cosine_sentence_loss(
-                        weights, *sides, labels[batch], scale=config.scale, out=grad, scratch=scratch
-                    )
+                    loss, row_grads = cosine_sentence_rows(projected, labels[batch], config.scale)
                 else:
-                    loss, _ = triplet_loss(
-                        weights, *sides, margin=config.margin, out=grad, scratch=scratch
-                    )
+                    loss, row_grads = triplet_rows(projected, config.margin)
             except FloatingPointError as exc:  # a zero or non-finite projection
                 raise TrainingError(f"{exc} {after}") from exc
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at {where}")
-            # grad * clip, lr * grad and (lr * wd) * weights, each written over grad
-            clip_gradient(grad, config.max_grad_norm, out=grad)
-            np.multiply(grad, config.learning_rate, out=grad)
-            weights -= grad
-            np.multiply(weights, config.learning_rate * config.weight_decay, out=grad)
-            weights -= grad
+            # W's gradient is step.T @ emb, whose squared norm needs only the
+            # batch rows' Gram matrix
+            step = row_grads.reshape(-1, d)
+            norm = math.sqrt(max(np.vdot(emb @ emb.T, step @ step.T), 0.0))
+            if norm > config.max_grad_norm:
+                step *= config.max_grad_norm / norm
+            step *= config.learning_rate
+            coef -= basis.loadings[rows].T @ step
+            a -= decay * a
+            coef -= decay * coef
             after = f"after {where}"
             batch_losses.append(loss)
             epoch_losses.append(loss)
         epoch_means.append(float(np.mean(epoch_losses)))
-    # the last step's weights are not projected again; min and max see a
-    # NaN or an infinity anywhere without a d x d array of flags
-    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+    weights = a * np.eye(d) + (coef.T if basis.span is None else coef.T @ basis.span)
+    # the last step's weights are not projected again
+    if not np.isfinite(weights).all():
         raise TrainingError(f"non-finite adapter weights {after}")
-    return batch_losses, epoch_means
-
-
-def _result(
-    config: TrainConfig,
-    ex: _Examples,
-    base: BaseEmbedder,
-    weights: np.ndarray,
-    batch_losses: list[float],
-    epoch_means: list[float],
-) -> TrainResult:
-    adapter = Adapter(
-        weights=weights,
-        trained_on={
-            "config": config.manifest(),
-            "base_embedder": base.embedder_id,
-            "examples": ex.rows.shape[1],
-            "kind": ex.kind,
-        },
-    )
-    return TrainResult(adapter=adapter, batch_losses=batch_losses, epoch_means=epoch_means)
+    return weights, batch_losses, epoch_means
 
 
 def train_adapter(
@@ -215,28 +214,24 @@ def train_adapter(
     """Fit an adapter on a pair set (cosine losses) or triplet set.
 
     Each distinct text is embedded once up front; each step gathers the
-    batch's rows, projects them through the current matrix,
+    batch's rows, projects them through the current adapter,
     backpropagates analytically, clips, applies weight decay, and
     descends.  A non-finite loss, a batch row projected to a zero or
     non-finite vector, or non-finite final weights end training with a
     TrainingError that names the step.
     """
     ex = _embed_examples(config, examples, texts_by_id, base)
-    weights = np.eye(base.dim, dtype=np.float64)
-    losses = _descend(config, ex, weights, np.empty_like(weights), np.empty_like(weights))
-    return _result(config, ex, base, weights, *losses)
-
-
-def _pool_size(questions: int) -> int:
-    """Workers for training `questions` adapters at once.
-
-    As many as the usable CPUs hold at the process's BLAS thread count,
-    and never more than the questions; 1 when the count cannot be read.
-    """
-    threads = blas_threads()
-    if threads is None:
-        return 1
-    return max(1, min(questions, usable_cpus() // threads))
+    weights, batch_losses, epoch_means = _descend(config, ex)
+    adapter = Adapter(
+        weights=weights,
+        trained_on={
+            "config": config.manifest(),
+            "base_embedder": base.embedder_id,
+            "examples": ex.rows.shape[1],
+            "kind": ex.kind,
+        },
+    )
+    return TrainResult(adapter=adapter, batch_losses=batch_losses, epoch_means=epoch_means)
 
 
 def train_for_corpus(
@@ -251,14 +246,7 @@ def train_for_corpus(
     Returns a mapping question_id -> result for question scope, or
     {"global": result} for global scope.  Per-question runs derive their
     seed from the config seed and the question id; questions whose set is
-    empty are skipped.
-
-    Questions are fitted on a pool of `_pool_size` workers, inline when
-    that is 1.  The calling thread embeds each question's texts and
-    allocates its weights as the pool draws it, and allocates every
-    worker's gradient buffers, so the base embedder is never called from
-    two threads.  Results and the first error are those of the
-    sequential loop, in question order.
+    empty are skipped.  A question's TrainingError is raised with its id.
     """
     texts_by_id = {r.id: r.text for r in corpus.split(split)}
     triplet_mode = config.loss is LossKind.TRIPLET
@@ -266,37 +254,13 @@ def train_for_corpus(
         examples = sets.merged_triplets() if triplet_mode else sets.merged_pairs()
         return {"global": train_adapter(config, examples, texts_by_id, base)}
     source = sets.triplet_sets if triplet_mode else sets.pair_sets
-    questions = [(qid, examples) for qid, examples in source.items() if examples]
-    workers = _pool_size(len(questions))
-    d = base.dim
-    buffers = queue.SimpleQueue()  # (grad, scratch) per worker
-    for _ in range(workers):
-        buffers.put((np.empty((d, d)), np.empty((d, d))))
-
-    def drawn():
-        for qid, examples in questions:
-            qconfig = dataclasses.replace(config, seed=derive_seed(config.seed, qid, "train"))
-            try:
-                ex = _embed_examples(qconfig, examples, texts_by_id, base)
-            except Exception as exc:  # raised in the question's turn, as the loop would
-                yield qid, qconfig, exc, None
-                continue
-            yield qid, qconfig, ex, np.eye(d, dtype=np.float64)
-
-    def fit(job):
-        qid, qconfig, ex, weights = job
-        grad, scratch = buffers.get()
+    results: dict[str, TrainResult] = {}
+    for qid, examples in source.items():
+        if not examples:
+            continue
+        qconfig = dataclasses.replace(config, seed=derive_seed(config.seed, qid, "train"))
         try:
-            if isinstance(ex, Exception):
-                raise ex
-            return job, _descend(qconfig, ex, weights, grad, scratch)
+            results[qid] = train_adapter(qconfig, examples, texts_by_id, base)
         except TrainingError as exc:
             raise TrainingError(f"question {qid!r}: {exc}") from exc
-        finally:
-            buffers.put((grad, scratch))
-
-    fitted = map(fit, drawn()) if workers <= 1 else in_order(fit, drawn(), workers)
-    results: dict[str, TrainResult] = {}
-    for (qid, qconfig, ex, weights), losses in fitted:
-        results[qid] = _result(qconfig, ex, base, weights, *losses)
     return results

@@ -94,6 +94,14 @@ class TestModuleEntry:
         assert done.stderr == f"error: batch_size must be >= 1, got {batch_size}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+    def test_unusable_learning_rate_exits_runtime_and_writes_nothing(self, corpus_arg, tmp_path, capsys, lr):
+        out = tmp_path / "adapters"
+        argv = ["train-embedder", "--corpus", corpus_arg, "--lr", lr, "--dim", "16", "--out-dir", str(out)]
+        assert cli(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: learning_rate must be positive and finite, got {float(lr)}\n"
+        assert not out.exists()
+
 
 class TestValidate:
     def test_ok(self, corpus_arg, capsys):
