@@ -12,7 +12,7 @@ from pathlib import Path
 from ragrade import ExperimentConfig, Scheme, format_report_table, parse_jsonl, run_scenario
 from ragrade.glm import MockBackend
 from ragrade.embedding import HashEmbedder
-from ragrade.prompts import PromptBindings, load_template, render
+from ragrade.prompts import PromptBindings, format_examples, load_template, render
 from ragrade.vstore import RetrievalConfig, build_store, top_k
 
 FIXTURE = Path(__file__).parent.parent / "tests" / "fixtures" / "tiny.jsonl"
@@ -36,7 +36,7 @@ prompt = render(
         new_answer=query.text,
         question=corpus.questions[query.question_id].text,
         reference_answer="\n".join(corpus.questions[query.question_id].reference_answers),
-        examples=[(e.metadata["response_text"], e.metadata["judgment"]) for e, _ in retrieved],
+        examples=format_examples(retrieved, Scheme.THREE_WAY),
     ),
 )
 print("=== one composed grading prompt " + "=" * 40)

@@ -24,7 +24,7 @@ from .corpus import (
     validate_corpus,
     write_jsonl,
 )
-from .embedding import AdaptedEmbedder, Adapter, EmbeddingError, HashEmbedder
+from .embedding import DEFAULT_DIM, AdaptedEmbedder, Adapter, EmbeddingError, HashEmbedder
 from .glm import GlmError, make_backend
 from .harness import (
     ExperimentConfig,
@@ -173,16 +173,16 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", default="general", choices=("strict", "general"))
     p.add_argument("--scope", default="question")
     p.add_argument("--loss", default="cosine_sentence")
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--lr", type=float, default=6e-6)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=384)
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("build-vdb", help="embed train responses into a vector store")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--dim", type=int, default=384)
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--adapter", default=None)
     p.add_argument("--include-question", action="store_true")
     p.add_argument("--include-reference", action="store_true")

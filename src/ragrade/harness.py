@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +32,6 @@ from .glm import (
 from .losses import LossKind
 from .metrics import ConfusionMatrix, per_class_stats, summarize
 from .pairs import Scope, Strategy, build_training_sets
-from .pool import in_order
 from .prompts import (
     PromptBindings,
     PromptTemplate,
@@ -75,9 +77,9 @@ class ExperimentConfig:
     # verdict used when parsing fails; None picks the scheme default
     fallback_label: str | None = None
     train_adapter: bool = False
-    epochs: int = 3
-    learning_rate: float = 6e-6
-    batch_size: int = 8
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
     temperature: float = 0.0
     max_tokens: int = 64
     # None sends $RAGRADE_GLM_MODEL, or "default" when that is unset
@@ -86,6 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
         if self.rag_fraction is not None and not (0.0 < self.rag_fraction < 1.0):
             raise ValueError("rag_fraction must lie strictly between 0 and 1")
         if self.fallback_label is not None and self.fallback_label not in self.scheme.labels():
@@ -118,26 +122,43 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        data = dict(obj)
-        if "scheme" in data:
-            data["scheme"] = Scheme.parse(data["scheme"])
-        if "strategy" in data:
-            data["strategy"] = Strategy.parse(data["strategy"])
-        if "scope" in data:
-            data["scope"] = Scope.parse(data["scope"])
-        if "loss" in data:
-            data["loss"] = LossKind.parse(data["loss"])
-        if "seeds" in data:
-            data["seeds"] = tuple(data["seeds"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """A config from JSON values; a value of the wrong type raises ValueError naming its field."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        types = typing.get_type_hints(cls)
+        unknown = set(obj) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        data = {}
+        for name, value in obj.items():
+            try:
+                data[name] = _from_json(types[name], value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config field {name!r}: {exc}") from None
         return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _from_json(kind, value):
+    """A JSON value as a config field of type kind: an enum parses a string,
+    seeds are a list of integers, and a float field also takes an integer."""
+    if kind == tuple[int, ...]:
+        return tuple(_from_json(int, v) for v in _from_json(list, value))
+    parse = getattr(kind, "parse", None)
+    if parse is not None:
+        return parse(_from_json(str, value))
+    allowed = typing.get_args(kind) or (kind,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool)):
+        return value
+    raise TypeError(f"expected {' or '.join(t.__name__ for t in allowed)}, got {value!r}")
 
 
 @dataclass
@@ -220,7 +241,7 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
 
     prompts = map(prompt_for, responses)
     workers = getattr(g.backend, "concurrency", 1)
-    verdicts = map(judge, prompts) if workers <= 1 else in_order(judge, prompts, workers)
+    verdicts = map(judge, prompts) if workers <= 1 else _in_order(judge, prompts, workers)
     outcome = GradingOutcome(predictions=[], gold=[])
     # strict: verdicts is read to its end, which shuts a pool down at once
     for r, (label, failure) in zip(responses, verdicts, strict=True):
@@ -229,6 +250,31 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
         outcome.predictions.append(label)
         outcome.gold.append(collapse_label(r.label, g.scheme))
     return outcome
+
+
+def _in_order(task, items, workers: int):
+    """task(item) for each item on a pool of workers, yielded in item order.
+
+    Items are drawn lazily on the calling thread, at most 2 * workers
+    ahead of the result being waited for.  When a task raises, the tasks
+    not yet started are cancelled and the error propagates once the
+    running ones finish.
+    """
+    # No local variable may name a future whose result is being read: the
+    # error it raises holds this frame, and the frame would hold the future
+    # that holds the error, a cycle that keeps the caller's data alive
+    # until the garbage collector runs.
+    pending = deque()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for item in items:
+            pending.append(pool.submit(task, item))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -398,9 +444,9 @@ def run_scenario(
                 "rag_fraction": config.rag_fraction,
                 "base_store_entries": len(grader.store),
             }
-            entries = [entry_from_response(r, grader.embedder) for r in moved]
-            grader = dataclasses.replace(grader, store=grader.store.extended(entries))
-            del entries  # the extended store holds them until this seed ends
+            rows = [entry_from_response(r, grader.embedder) for r in moved]
+            grader = dataclasses.replace(grader, store=grader.store.extended(rows))
+            del rows  # the extended store holds copies until this seed ends
             extra = {
                 "moved_to_store": len(moved),
                 "scored": len(graded),

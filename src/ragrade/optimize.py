@@ -33,7 +33,6 @@ class OptimizerConfig:
     beam: int = 4  # candidates proposed per step and retained-set size
     metric: str = "accuracy"
     critic_params: GenParams = field(default_factory=lambda: GenParams(temperature=0.9, max_tokens=2048))
-    seed: int = 0
     max_reproposals: int = 3
 
     def __post_init__(self):

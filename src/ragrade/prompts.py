@@ -66,8 +66,8 @@ class PromptBindings:
     new_answer: str
     question: str | None = None
     reference_answer: str | None = None
-    # (answer_text, judgment) tuples, or an already-formatted block
-    examples: list[tuple[str, str]] | str | None = None
+    # the block format_examples made from a top_k result
+    examples: str | None = None
 
     def __post_init__(self):
         if not self.new_answer.strip():
@@ -109,16 +109,7 @@ def load_critic_meta_prompt() -> str:
     return (_template_dir() / "critic_rewrite.txt").read_text(encoding="utf-8")
 
 
-def _example_blocks(items: list[tuple[str, str]]) -> str:
-    return "\n".join(
-        f"Example {i}:\nAnswer: {text}\nJudgment: {judgment}\n"
-        for i, (text, judgment) in enumerate(items, start=1)
-    )
-
-
-def format_examples(
-    retrieved: list[tuple], scheme: Scheme | None = None
-) -> str:
+def format_examples(retrieved: list[tuple], scheme: Scheme | None = None) -> str:
     """Render retrieved (entry, score) pairs as numbered example blocks.
 
     Rank order is preserved.  Each block is three lines (Example i: /
@@ -126,13 +117,14 @@ def format_examples(
     a scheme is given, stored five-way judgments are collapsed to its
     vocabulary.
     """
-    items = []
-    for entry, _score in retrieved:
+    blocks = []
+    for i, (entry, _score) in enumerate(retrieved, start=1):
         judgment = entry.metadata["judgment"]
         if scheme is not None:
             judgment = collapse_label(Label.parse(judgment), scheme)
-        items.append((entry.metadata["response_text"], judgment))
-    return _example_blocks(items)
+        text = entry.metadata["response_text"]
+        blocks.append(f"Example {i}:\nAnswer: {text}\nJudgment: {judgment}\n")
+    return "\n".join(blocks)
 
 
 def render(template: PromptTemplate, bindings: PromptBindings) -> str:
@@ -147,13 +139,7 @@ def render(template: PromptTemplate, bindings: PromptBindings) -> str:
         "QUESTION": bindings.question,
         "REFERENCE_ANSWER": bindings.reference_answer,
         "NEW_ANSWER": bindings.new_answer,
-        "EXAMPLES": None
-        if bindings.examples is None
-        else (
-            bindings.examples
-            if isinstance(bindings.examples, str)
-            else _example_blocks(bindings.examples)
-        ),
+        "EXAMPLES": bindings.examples,
     }
     needed = template.placeholders
     if bindings.examples is not None and "EXAMPLES" not in needed:

@@ -1,14 +1,14 @@
 """Vector store of embedded graded responses with exact cosine top-k.
 
-Entries are unit vectors plus JSON metadata holding the original
-response text and its judgment.  A store is immutable once built: its
-constructor (and so build_store, load and extended) stacks the entry
-vectors once into one contiguous read-only float32 (N, dim) matrix and
-indexes the rows by question_id, and every query reuses both.
-Retrieval is an exact matrix product over the candidate rows, cast to
-float64 per query: no approximation, descending score, ties broken by
-ascending entry index.  Holding vectors in float32 makes save/load
-byte-stable.
+A store is one read-only float32 (N, dim) matrix of unit row vectors
+plus one metadata-only entry per row, holding the original response
+text, its judgment and ids.  It is immutable once built: its constructor
+(and so build_store, load and extended) checks the matrix's shape and
+every row's unit norm in one vectorized pass and indexes the rows by
+question_id, and every query reuses matrix and index.  Retrieval is an
+exact matrix product over the candidate rows, cast to float64 per
+query: no approximation, descending score, ties broken by ascending row
+index.  Holding vectors in float32 makes save/load byte-stable.
 """
 
 from __future__ import annotations
@@ -32,54 +32,52 @@ class StoreError(Exception):
 
 @dataclass(frozen=True)
 class Entry:
-    vector: np.ndarray  # unit norm, float32
+    """The metadata of one store row; the row's vector lives in the store's matrix."""
+
     metadata: dict
 
     def __post_init__(self):
         for key in REQUIRED_METADATA:
             if key not in self.metadata:
                 raise StoreError(f"entry metadata missing required key {key!r}")
-        vec = np.asarray(self.vector, dtype=np.float32)
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN
-            raise StoreError(f"entry vector norm {norm} is not unit")
-        object.__setattr__(self, "vector", vec)
 
 
 @dataclass(frozen=True, eq=False)
 class VectorStore:
+    """Row i of vectors is the unit embedding of entries[i]."""
+
     dim: int
     embedder_id: str
-    entries: tuple[Entry, ...] = ()
+    vectors: np.ndarray  # read-only float32 (N, dim)
+    entries: tuple[Entry, ...]
 
     def __post_init__(self):
-        for e in self.entries:
-            if e.vector.shape != (self.dim,):
-                raise StoreError(
-                    f"entry vector shape {e.vector.shape} != store dim {self.dim}"
-                )
         entries = tuple(self.entries)
-        matrix = np.array([e.vector for e in entries], np.float32).reshape(len(entries), self.dim)
-        matrix.flags.writeable = False
+        vectors = np.asarray(self.vectors, dtype=np.float32)
+        if vectors.shape != (len(entries), self.dim):
+            raise StoreError(f"vectors shape {vectors.shape} != ({len(entries)}, {self.dim})")
+        # squared norms accumulate in float64 without a float64 copy of the matrix
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # also NaN
+        if bad.size:
+            row = int(bad[0])
+            raise StoreError(f"row {row}: entry vector norm {norms[row]} is not unit")
+        vectors.flags.writeable = False
         rows: dict[str | None, list[int]] = {}
         for i, e in enumerate(entries):
             rows.setdefault(e.metadata.get("question_id"), []).append(i)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_rows", {q: np.array(r, dtype=np.intp) for q, r in rows.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def matrix(self) -> np.ndarray:
-        """Entry vectors as rows of the store's read-only float32 (N, dim) matrix."""
-        return self._matrix
-
-    def extended(self, extra: list[Entry]) -> "VectorStore":
-        """New store with extra entries appended; self is unchanged."""
-        return VectorStore(
-            dim=self.dim, embedder_id=self.embedder_id, entries=(*self.entries, *extra)
-        )
+    def extended(self, rows: list[tuple[np.ndarray, Entry]]) -> "VectorStore":
+        """New store with (unit vector, entry) rows appended; self is unchanged."""
+        extra = np.array([vec for vec, _ in rows], np.float32).reshape(len(rows), self.dim)
+        entries = (*self.entries, *(entry for _, entry in rows))
+        return VectorStore(self.dim, self.embedder_id, np.concatenate([self.vectors, extra]), entries)
 
     def save(self, path: str | Path) -> None:
         """Header JSON line, one metadata JSON line per entry, float32 payload."""
@@ -96,7 +94,7 @@ class VectorStore:
                     json.dumps(e.metadata, sort_keys=True, ensure_ascii=False).encode("utf-8")
                     + b"\n"
                 )
-            fh.write(np.ascontiguousarray(self._matrix, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(self.vectors, dtype="<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
@@ -115,7 +113,7 @@ class VectorStore:
                     f"{path}: line 1: header needs integer dim >= 1, count >= 0 and a string "
                     f"embedder_id, got dim {dim!r} and count {count!r}"
                 )
-            metadata = [_json_object(path, line, fh.readline()) for line in range(2, count + 2)]
+            entries = [_entry(path, line, fh.readline()) for line in range(2, count + 2)]
             payload = fh.read()
         expected = count * dim * 4
         if len(payload) != expected:
@@ -124,18 +122,18 @@ class VectorStore:
                 f"got {len(payload)}"
             )
         vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-        norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # also NaN
-        if bad.size:
-            row = int(bad[0])
-            raise StoreError(f"{path}: row {row}: entry vector norm {norms[row]} is not unit")
-        entries = []
-        for i in range(count):
-            try:
-                entries.append(Entry(vector=vectors[i], metadata=metadata[i]))
-            except StoreError as exc:
-                raise StoreError(f"{path}: row {i}: {exc}") from None
-        return cls(dim=dim, embedder_id=header["embedder_id"], entries=entries)
+        try:
+            return cls(dim, header["embedder_id"], vectors, entries)
+        except StoreError as exc:
+            raise StoreError(f"{path}: {exc}") from None
+
+
+def _entry(path: Path, line: int, raw: bytes) -> Entry:
+    metadata = _json_object(path, line, raw)
+    try:
+        return Entry(metadata)
+    except StoreError as exc:
+        raise StoreError(f"{path}: line {line}: {exc}") from None
 
 
 def _json_object(path: Path, line: int, raw: bytes) -> dict:
@@ -166,7 +164,7 @@ def build_store(
     include_question: bool = False,
     include_reference: bool = False,
 ) -> VectorStore:
-    """Embed graded responses into a store, one entry per response.
+    """Embed graded responses into a store, one row per response.
 
     Metadata always carries the response text, its judgment (canonical
     five-way string), and the response/question ids; question text and
@@ -175,9 +173,10 @@ def build_store(
     """
     if (include_question or include_reference) and questions is None:
         raise StoreError("question metadata requested but no question map given")
+    vectors = np.empty((len(responses), embedder.dim), np.float32)
     entries = []
-    for r in responses:
-        entry = entry_from_response(r, embedder)
+    for i, r in enumerate(responses):
+        vectors[i], entry = entry_from_response(r, embedder)
         if include_question:
             entry.metadata["question"] = questions[r.question_id].text
         if include_reference:
@@ -185,11 +184,12 @@ def build_store(
             if refs:
                 entry.metadata["reference_answer"] = "\n".join(refs)
         entries.append(entry)
-    return VectorStore(dim=embedder.dim, embedder_id=embedder.embedder_id, entries=entries)
+    return VectorStore(embedder.dim, embedder.embedder_id, vectors, entries)
 
 
-def entry_from_response(response: Response, embedder: BaseEmbedder) -> Entry:
-    """One response's entry: unit embedding, text, judgment and ids (build_store may add more)."""
+def entry_from_response(response: Response, embedder: BaseEmbedder) -> tuple[np.ndarray, Entry]:
+    """One response's store row: its unit embedding, and an entry of its text,
+    judgment and ids (build_store may add more)."""
     try:
         vec = embedder.embed_scoped(response.text, response.question_id)
     except Exception as exc:
@@ -201,7 +201,7 @@ def entry_from_response(response: Response, embedder: BaseEmbedder) -> Entry:
         "response_id": response.id,
         "question_id": response.question_id,
     }
-    return Entry(vector=np.asarray(vec) / norm, metadata=metadata)
+    return np.asarray(vec) / norm, Entry(metadata)
 
 
 def _checked_norm(vec: np.ndarray, what: str) -> float:
@@ -218,7 +218,7 @@ def top_k(
     config: RetrievalConfig,
     question_id: str | None = None,
 ) -> list[tuple[Entry, float]]:
-    """Exact cosine top-k over the store's candidate entries.
+    """Exact cosine top-k over the store's candidate rows, as (entry, score).
 
     With same_question_only, candidates are the store's indexed rows whose
     question_id matches the query's.  Scores are the product of the
@@ -226,7 +226,7 @@ def top_k(
     descending with ascending-index tie-break.  Fewer than k candidates
     return them all; zero candidates is an error.
     """
-    matrix, rows = store._matrix, None
+    matrix, rows = store.vectors, None
     if config.same_question_only:
         if question_id is None:
             raise StoreError("same_question_only retrieval needs the query's question_id")

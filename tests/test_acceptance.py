@@ -188,12 +188,9 @@ def test_criterion_3_retrieval_exactness():
         vectors = rng.normal(size=(n, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         vectors[6000:6100] = vectors[:100]  # planted duplicates force ties
-        entries = [
-            Entry(vector=vectors[i], metadata={"response_text": "t", "judgment": "correct"})
-            for i in range(n)
-        ]
-        store = VectorStore(dim=dim, embedder_id="fixed", entries=entries)
-        matrix = store.matrix().astype(np.float64)
+        entries = [Entry(metadata={"response_text": "t", "judgment": "correct"}) for _ in range(n)]
+        store = VectorStore(dim=dim, embedder_id="fixed", vectors=vectors, entries=entries)
+        matrix = store.vectors.astype(np.float64)
 
         queries = [rng.normal(size=dim) for _ in range(90)]
         # ten queries equal to duplicated entries, so ties reach the top

@@ -352,6 +352,35 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert json.loads(report_path.read_text())["manifest"]["k"] == 9
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"seeds": 5}', "field 'seeds': expected list, got 5"),
+            ('{"seeds": [1, "2"]}', "field 'seeds': expected int, got '2'"),
+            ('{"scheme": 5}', "field 'scheme': expected str, got 5"),
+            ('{"scheme": "4way"}', "field 'scheme': unknown scheme"),
+            ('[{"k": 3}]', "config must be a JSON object, got list"),
+            ('{"k": 0}', "k must be at least 1, got 0"),
+            ('{"k": "5"}', "field 'k': expected int, got '5'"),
+            ('{"k": true}', "field 'k': expected int, got True"),
+            ('{"rag_fraction": "half"}', "field 'rag_fraction': expected float or NoneType or int"),
+            ('{"seeds": [1]', "Expecting"),
+        ],
+    )
+    def test_malformed_config_exits_2_before_training(
+        self, corpus_arg, tmp_path, monkeypatch, capsys, content, message
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content)
+        trained = []
+        monkeypatch.setattr(ragrade.harness, "train_for_corpus", lambda *a: trained.append(a))
+        code = cli(["evaluate", "--corpus", corpus_arg, "--train", "--config", str(config_path)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"error: {config_path}: " in err
+        assert message in err
+        assert not trained
+
 
 class TestScore:
     def test_predictions_jsonl(self, corpus_arg, tmp_path):

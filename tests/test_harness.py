@@ -640,6 +640,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config"):
             ExperimentConfig.from_dict({"wat": 1})
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            ExperimentConfig(k=0)
+
+    def test_float_fields_take_integers(self):
+        config = ExperimentConfig.from_dict({"learning_rate": 1, "temperature": 0})
+        assert config.learning_rate == 1 and config.temperature == 0
+
+    def test_null_clears_an_optional_field(self):
+        assert ExperimentConfig.from_dict({"model_id": None, "corpus": None}).model_id is None
+
     def test_fallback_label_must_exist(self):
         with pytest.raises(ValueError, match="fallback"):
             ExperimentConfig(scheme=Scheme.TWO_WAY, fallback_label="contradictory")

@@ -1,7 +1,6 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from ragrade.corpus import Scheme
@@ -31,9 +30,7 @@ ALL_COMBOS = [
 
 
 def unit_entry(text, judgment):
-    return Entry(
-        vector=np.array([1.0, 0.0]), metadata={"response_text": text, "judgment": judgment}
-    )
+    return Entry(metadata={"response_text": text, "judgment": judgment})
 
 
 class TestLoadTemplate:
@@ -140,7 +137,7 @@ class TestRender:
             new_answer="the new answer",
             question="the question",
             reference_answer="the reference",
-            examples=[("an answer", "correct")],
+            examples=format_examples([(unit_entry("an answer", "correct"), 1.0)]),
         )
 
     def test_new_answer_lands_between_tags(self):

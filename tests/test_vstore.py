@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +18,18 @@ from ragrade.vstore import (
 )
 
 
-def entry(vec, **metadata):
+def row(vec, **metadata):
+    """A (unit vector, entry) store row, as entry_from_response returns one."""
     merged = {"response_text": "t", "judgment": "correct"}
     merged.update(metadata)
     vec = np.asarray(vec, dtype=np.float64)
-    return Entry(vector=vec / np.linalg.norm(vec), metadata=merged)
+    return vec / np.linalg.norm(vec), Entry(metadata=merged)
+
+
+def store_of(dim, embedder_id, rows):
+    """A store of (vector, entry) rows, each vector cast to float32."""
+    vectors = np.array([vec for vec, _ in rows], np.float32).reshape(len(rows), dim)
+    return VectorStore(dim, embedder_id, vectors, [e for _, e in rows])
 
 
 class FixedEmbedder(BaseEmbedder):
@@ -51,7 +60,7 @@ class TestBuild:
     def test_empty(self):
         store = build_store([], HashEmbedder(16))
         assert len(store) == 0
-        assert store.matrix().shape == (0, 16)
+        assert store.vectors.shape == (0, 16)
 
     def test_entries_unit_norm_with_metadata(self):
         corpus = make_corpus(
@@ -70,8 +79,8 @@ class TestBuild:
             include_reference=True,
         )
         assert len(store) == 2
-        for e in store.entries:
-            assert abs(np.linalg.norm(e.vector.astype(np.float64)) - 1.0) < 1e-6
+        for vec in store.vectors:
+            assert abs(np.linalg.norm(vec.astype(np.float64)) - 1.0) < 1e-6
         meta = store.entries[0].metadata
         assert meta["response_text"] == "the first answer"
         assert meta["judgment"] == "correct"
@@ -99,22 +108,40 @@ class TestBuild:
 
     def test_required_metadata_enforced(self):
         with pytest.raises(StoreError, match="judgment"):
-            Entry(vector=np.array([1.0, 0.0]), metadata={"response_text": "t"})
+            Entry(metadata={"response_text": "t"})
 
     def test_non_unit_vector_rejected(self):
-        with pytest.raises(StoreError, match="not unit"):
-            Entry(
-                vector=np.array([1.0, 1.0]),
-                metadata={"response_text": "t", "judgment": "correct"},
-            )
+        meta = {"response_text": "t", "judgment": "correct"}
+        with pytest.raises(StoreError, match="row 0: .*not unit"):
+            VectorStore(2, "x", np.array([[1.0, 1.0]]), [Entry(meta)])
+
+    def test_constructor_names_the_first_bad_row(self):
+        meta = {"response_text": "t", "judgment": "correct"}
+        vectors = np.array([[1.0, 0.0], [0.6, 0.8], [2.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(StoreError, match="row 2: .*not unit"):
+            VectorStore(2, "x", vectors, [Entry(meta)] * 4)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,), (2, 2, 1)])
+    def test_constructor_checks_the_shape(self, shape):
+        meta = {"response_text": "t", "judgment": "correct"}
+        with pytest.raises(StoreError, match="shape"):
+            VectorStore(2, "x", np.full(shape, 0.5), [Entry(meta)] * 2)
+
+    def test_entries_hold_only_metadata(self):
+        """One copy of each vector: the store's matrix, which build_store filled."""
+        assert [f.name for f in dataclasses.fields(Entry)] == ["metadata"]
+        corpus = make_corpus({"q": "Q?"}, [(f"r{i}", "q", "train", Label.CORRECT) for i in range(5)])
+        store = build_store(list(corpus.split("train")), HashEmbedder(16))
+        assert store.vectors.dtype == np.float32 and store.vectors.shape == (5, 16)
+        for e in store.entries:
+            assert not any(isinstance(v, np.ndarray) for v in vars(e).values())
+            assert not any(isinstance(v, np.ndarray) for v in e.metadata.values())
 
 
 class TestTopK:
     def setup_method(self):
-        self.store = VectorStore(
-            dim=2,
-            embedder_id="fixed-2",
-            entries=[entry([1.0, 0.0], response_id="e1"), entry([0.0, 1.0], response_id="e2")],
+        self.store = store_of(
+            2, "fixed-2", [row([1.0, 0.0], response_id="e1"), row([0.0, 1.0], response_id="e2")]
         )
         self.embedder = FixedEmbedder({"q": [1.0, 0.0]}, dim=2)
 
@@ -129,13 +156,13 @@ class TestTopK:
         assert [e.metadata["response_id"] for e, _ in results] == ["e1", "e2"]
 
     def test_tie_break_by_entry_index(self):
-        store = VectorStore(
-            dim=2,
-            embedder_id="fixed-2",
-            entries=[
-                entry([0.0, 1.0], response_id="first"),
-                entry([0.0, 1.0], response_id="second"),
-                entry([0.0, 1.0], response_id="third"),
+        store = store_of(
+            2,
+            "fixed-2",
+            [
+                row([0.0, 1.0], response_id="first"),
+                row([0.0, 1.0], response_id="second"),
+                row([0.0, 1.0], response_id="third"),
             ],
         )
         embedder = FixedEmbedder({"q": [0.6, 0.8]}, dim=2)
@@ -143,12 +170,12 @@ class TestTopK:
         assert [e.metadata["response_id"] for e, _ in results] == ["first", "second", "third"]
 
     def test_same_question_scope(self):
-        store = VectorStore(
-            dim=2,
-            embedder_id="fixed-2",
-            entries=[
-                entry([1.0, 0.0], response_id="other", question_id="q2"),
-                entry([0.0, 1.0], response_id="mine", question_id="q1"),
+        store = store_of(
+            2,
+            "fixed-2",
+            [
+                row([1.0, 0.0], response_id="other", question_id="q2"),
+                row([0.0, 1.0], response_id="mine", question_id="q1"),
             ],
         )
         embedder = FixedEmbedder({"q": [1.0, 0.0]}, dim=2)
@@ -182,14 +209,13 @@ class TestTopK:
         dim, n = 24, 400
         vectors = rng.normal(size=(n, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        entries = [entry(vectors[i], response_id=f"e{i}") for i in range(n)]
-        store = VectorStore(dim=dim, embedder_id="fixed", entries=entries)
+        store = store_of(dim, "fixed", [row(vectors[i], response_id=f"e{i}") for i in range(n)])
         for trial in range(20):
             q = rng.normal(size=dim)
             q /= np.linalg.norm(q)
             embedder = FixedEmbedder({"q": q}, dim=dim)
             results = top_k(store, "q", embedder, RetrievalConfig(k=10))
-            expected = brute_force_top_k(store.matrix(), q, 10)
+            expected = brute_force_top_k(store.vectors, q, 10)
             got = [(int(e.metadata["response_id"][1:]), s) for e, s in results]
             assert [i for i, _ in got] == [i for i, _ in expected]
             assert [s for _, s in got] == [s for _, s in expected]
@@ -198,11 +224,7 @@ class TestTopK:
         rng = np.random.default_rng(3)
         vectors = rng.normal(size=(20, 8))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        store = VectorStore(
-            dim=8,
-            embedder_id="fixed",
-            entries=[entry(vectors[i], response_id=f"e{i}") for i in range(20)],
-        )
+        store = store_of(8, "fixed", [row(vectors[i], response_id=f"e{i}") for i in range(20)])
         q = rng.normal(size=8)
         embedder = FixedEmbedder({"q": q / np.linalg.norm(q)}, dim=8)
         results = top_k(store, "q", embedder, RetrievalConfig(k=20))
@@ -221,7 +243,7 @@ class TestTopK:
 
 
 def restacked_top_k(store, query, k, question_id=None):
-    """The per-query formula top_k replaced: re-stack every entry vector, cast
+    """The per-query formula top_k replaced: re-stack every row vector, cast
     to float64, score the candidate rows, stable descending sort."""
     if question_id is None:
         candidates = list(range(len(store.entries)))
@@ -231,7 +253,7 @@ def restacked_top_k(store, query, k, question_id=None):
         ]
     query = np.asarray(query, dtype=np.float64)
     query = query / np.linalg.norm(query)
-    matrix = np.stack([e.vector for e in store.entries]).astype(np.float64)[candidates]
+    matrix = np.stack(list(store.vectors)).astype(np.float64)[candidates]
     scores = matrix @ query
     order = np.argsort(-scores, kind="stable")[:k]
     return [(store.entries[candidates[i]], float(scores[i])) for i in order]
@@ -244,8 +266,8 @@ def mixed_store(seed, n=300, dim=24, questions=7):
     vectors[200:220] = vectors[:20]
     qids = rng.integers(questions, size=n)
     qids[200:220] = qids[:20]
-    entries = [entry(vectors[i], response_id=f"e{i}", question_id=f"q{qids[i]}") for i in range(n)]
-    return VectorStore(dim=dim, embedder_id="fixed", entries=entries), rng
+    rows = [row(vectors[i], response_id=f"e{i}", question_id=f"q{qids[i]}") for i in range(n)]
+    return store_of(dim, "fixed", rows), rng
 
 
 class TestTopKMatchesRestacking:
@@ -254,7 +276,7 @@ class TestTopKMatchesRestacking:
     K = 5
 
     def queries(self, store, rng):
-        planted = [store.entries[i].vector.astype(np.float64) for i in range(0, 20, 4)]
+        planted = [store.vectors[i].astype(np.float64) for i in range(0, 20, 4)]
         return planted + [rng.normal(size=store.dim) for _ in range(15)]
 
     def assert_same(self, store, rng):
@@ -279,7 +301,7 @@ class TestTopKMatchesRestacking:
 
     def test_planted_ties_reach_the_top(self):
         store, rng = mixed_store(12)
-        q = store.entries[0].vector.astype(np.float64)
+        q = store.vectors[0].astype(np.float64)
         results = top_k(store, "q", FixedEmbedder({"q": q}, dim=store.dim), RetrievalConfig(k=2))
         assert [e.metadata["response_id"] for e, _ in results] == ["e0", "e200"]
         assert results[0][1] == results[1][1]
@@ -287,7 +309,7 @@ class TestTopKMatchesRestacking:
     def test_extended_store(self):
         store, rng = mixed_store(13)
         extra, _ = mixed_store(14, n=240)
-        self.assert_same(store.extended(list(extra.entries)), rng)
+        self.assert_same(store.extended(list(zip(extra.vectors, extra.entries))), rng)
 
     def test_loaded_store(self, tmp_path):
         store, rng = mixed_store(15)
@@ -304,7 +326,7 @@ class TestTopKMatchesRestacking:
                 raise AssertionError("top_k scanned every entry")
 
         store, rng = mixed_store(16)
-        matrix = store.matrix()
+        matrix = store.vectors
         object.__setattr__(store, "entries", NoScan(store.entries))
 
         def no_stack(*args, **kwargs):
@@ -316,19 +338,21 @@ class TestTopKMatchesRestacking:
             top_k(store, "q", embedder, RetrievalConfig(k=3, same_question_only=True),
                   question_id=f"q{n % 7}")
             top_k(store, "q", embedder, RetrievalConfig(k=3))
-        assert store.matrix() is matrix
+        assert store.vectors is matrix
 
     def test_store_is_immutable(self):
         store, _ = mixed_store(17)
         with pytest.raises(ValueError):
-            store.matrix()[0, 0] = 0.0
+            store.vectors[0, 0] = 0.0
         with pytest.raises(AttributeError):
             store.entries = ()
+        with pytest.raises(AttributeError):
+            store.vectors = np.zeros((0, store.dim), np.float32)
 
 
 class TestSaveLoad:
     def test_empty_round_trip(self, tmp_path):
-        store = VectorStore(dim=4, embedder_id="x")
+        store = store_of(4, "x", [])
         path = tmp_path / "s.vdb"
         store.save(path)
         again = VectorStore.load(path)
@@ -360,11 +384,7 @@ class TestSaveLoad:
         rng = np.random.default_rng(2)
         vectors = rng.normal(size=(50, 16))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        store = VectorStore(
-            dim=16,
-            embedder_id="fixed",
-            entries=[entry(vectors[i], response_id=f"e{i}") for i in range(50)],
-        )
+        store = store_of(16, "fixed", [row(vectors[i], response_id=f"e{i}") for i in range(50)])
         p1 = tmp_path / "one.vdb"
         p2 = tmp_path / "two.vdb"
         store.save(p1)
@@ -372,7 +392,7 @@ class TestSaveLoad:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_corrupted_payload_reports_byte_counts(self, tmp_path):
-        store = VectorStore(dim=2, embedder_id="x", entries=[entry([1.0, 0.0])])
+        store = store_of(2, "x", [row([1.0, 0.0])])
         path = tmp_path / "s.vdb"
         store.save(path)
         path.write_bytes(path.read_bytes()[:-3])
@@ -380,7 +400,7 @@ class TestSaveLoad:
             VectorStore.load(path)
 
     def test_version_mismatch(self, tmp_path):
-        store = VectorStore(dim=2, embedder_id="x", entries=[entry([1.0, 0.0])])
+        store = store_of(2, "x", [row([1.0, 0.0])])
         path = tmp_path / "s.vdb"
         store.save(path)
         data = path.read_bytes()
@@ -389,11 +409,7 @@ class TestSaveLoad:
             VectorStore.load(path)
 
     def test_metadata_preserved_in_order(self, tmp_path):
-        store = VectorStore(
-            dim=2,
-            embedder_id="x",
-            entries=[entry([1.0, 0.0], response_id=f"e{i}") for i in range(5)],
-        )
+        store = store_of(2, "x", [row([1.0, 0.0], response_id=f"e{i}") for i in range(5)])
         path = tmp_path / "s.vdb"
         store.save(path)
         loaded = VectorStore.load(path)
@@ -405,10 +421,8 @@ class TestLoadRejectsMalformedFiles:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        store = VectorStore(
-            dim=2,
-            embedder_id="x",
-            entries=[entry([1.0, 0.0], response_id="a"), entry([0.0, 1.0], response_id="b")],
+        store = store_of(
+            2, "x", [row([1.0, 0.0], response_id="a"), row([0.0, 1.0], response_id="b")]
         )
         path = tmp_path / "s.vdb"
         store.save(path)
@@ -466,9 +480,7 @@ class TestLoadRejectsMalformedFiles:
         self.assert_rejected(saved, "row 0.*not unit")
 
     def test_several_bad_rows_name_the_first(self, tmp_path):
-        store = VectorStore(
-            dim=2, embedder_id="x", entries=[entry([1.0, 0.0], response_id=f"e{i}") for i in range(4)]
-        )
+        store = store_of(2, "x", [row([1.0, 0.0], response_id=f"e{i}") for i in range(4)])
         path = tmp_path / "s.vdb"
         store.save(path)
         data = path.read_bytes()
@@ -476,7 +488,57 @@ class TestLoadRejectsMalformedFiles:
         path.write_bytes(data[: -payload.nbytes] + payload.tobytes())
         self.assert_rejected(path, "row 1: .*not unit")
 
+    def test_metadata_without_judgment(self, saved):
+        header, meta_a, meta_b, payload = self.lines(saved)
+        meta = json.loads(meta_b)
+        del meta["judgment"]
+        saved.write_bytes(b"\n".join([header, meta_a, json.dumps(meta).encode(), payload]))
+        self.assert_rejected(saved, "line 3: .*judgment")
+
     def test_valid_file_still_loads_byte_stable(self, saved, tmp_path):
         again = tmp_path / "again.vdb"
         VectorStore.load(saved).save(again)
         assert again.read_bytes() == saved.read_bytes()
+
+
+class TestOneCopyOfEachVector:
+    """A store holds each vector once, in its float32 matrix: building or
+    loading a 1,296 x 384 store (36 questions x 36 answers) allocates
+    little beyond the matrix's 1.99 MB.  Per-entry vector copies and
+    float64 transients of the matrix would each add about 2 MB or more."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(0)
+        vocab = [f"word{i}" for i in range(600)]
+        rows = [
+            (f"q{q}-r{a}", f"q{q}", "train", list(Label)[(q + a) % len(Label)],
+             " ".join(rng.choice(vocab, size=12)))
+            for q in range(36) for a in range(36)
+        ]
+        return make_corpus({f"q{q}": f"question {q}?" for q in range(36)}, rows)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_peak(self, corpus):
+        responses = list(corpus.split("train"))
+        embedder = HashEmbedder(384)
+        for r in responses:  # warm the token memo, which is not the store's memory
+            embedder.embed(r.text)
+        store, peak = self.traced_peak(lambda: build_store(responses, embedder, corpus.questions))
+        assert store.vectors.nbytes == 1296 * 384 * 4
+        assert peak < 1.5 * store.vectors.nbytes  # 2.49 MB; 4.56 MB with per-entry copies
+
+    def test_load_peak(self, corpus, tmp_path):
+        path = tmp_path / "s.vdb"
+        build_store(list(corpus.split("train")), HashEmbedder(384)).save(path)
+        store, peak = self.traced_peak(lambda: VectorStore.load(path))
+        assert len(store) == 1296
+        assert peak < 3 * store.vectors.nbytes  # 5.04 MB; 10.93 MB with a float64 norm pass
