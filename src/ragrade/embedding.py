@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -192,28 +193,35 @@ class Adapter:
     @classmethod
     def load(cls, path: str | Path) -> "Adapter":
         with Path(path).open("rb") as fh:
-            header_line = fh.readline()
-            payload = fh.read()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except ValueError:  # also bad UTF-8
-            header = None
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: adapter header is not a JSON object")
-        if header.get("format") != ADAPTER_FORMAT:
-            raise ValueError(f"{path}: not an adapter file")
-        if header.get("version") != ADAPTER_VERSION:
-            raise ValueError(f"{path}: unsupported adapter version {header.get('version')}")
-        dim = header.get("dim")
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"{path}: adapter header needs an integer dim >= 1, got {dim!r}")
-        expected = dim * dim * 8
-        if len(payload) != expected:
-            raise ValueError(
-                f"{path}: payload length mismatch, expected {expected} bytes, got {len(payload)}"
-            )
-        weights = np.frombuffer(payload, dtype="<f8").reshape(dim, dim).copy()
+            try:
+                header = json.loads(fh.readline().decode("utf-8"))
+            except ValueError:  # also bad UTF-8
+                header = None
+            if not isinstance(header, dict):
+                raise ValueError(f"{path}: adapter header is not a JSON object")
+            if header.get("format") != ADAPTER_FORMAT:
+                raise ValueError(f"{path}: not an adapter file")
+            if header.get("version") != ADAPTER_VERSION:
+                raise ValueError(f"{path}: unsupported adapter version {header.get('version')}")
+            dim = header.get("dim")
+            if type(dim) is not int or dim < 1:
+                raise ValueError(f"{path}: adapter header needs an integer dim >= 1, got {dim!r}")
+            weights = read_payload(fh, (dim, dim), "<f8")
         return cls(weights=weights, trained_on=header.get("trained_on", {}))
+
+
+def read_payload(fh, shape: tuple[int, int], dtype: str) -> np.ndarray:
+    """The rest of binary file `fh` as a new array of `shape`, or ValueError
+    naming the file.  The remaining size is checked before the array is
+    allocated, so sizes that disagree with the file are never allocated."""
+    expected = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    got = os.fstat(fh.fileno()).st_size - fh.tell()
+    if got == expected:
+        out = np.empty(shape, dtype)
+        got = fh.readinto(out)  # short if the file shrank since
+    if got != expected:
+        raise ValueError(f"{fh.name}: payload length mismatch, expected {expected} bytes, got {got}")
+    return out
 
 
 class AdaptedEmbedder(BaseEmbedder):

@@ -116,8 +116,10 @@ def pair_label(a: Response, b: Response, scheme: Scheme, strategy: Strategy) -> 
     Under 5-way there is no "incorrect" category, so strict labeling
     privileges only "correct" there.
     """
-    ca = collapse_label(a.label, scheme)
-    cb = collapse_label(b.label, scheme)
+    return _category_pair_label(collapse_label(a.label, scheme), collapse_label(b.label, scheme), strategy)
+
+
+def _category_pair_label(ca: str, cb: str, strategy: Strategy) -> int:
     if ca != cb:
         return 0
     if strategy is Strategy.GENERAL:
@@ -131,12 +133,15 @@ def label_pairs(
     scheme: Scheme,
     strategy: Strategy,
 ) -> list[Pair]:
+    """`pair_label` of each pair, collapsing each response's label once."""
+    ids = {i for p in pairs for i in (p.a_id, p.b_id)}
+    category = {i: collapse_label(by_id[i].label, scheme) for i in ids}
     return [
         Pair(
             a_id=p.a_id,
             b_id=p.b_id,
             question_id=p.question_id,
-            label=pair_label(by_id[p.a_id], by_id[p.b_id], scheme, strategy),
+            label=_category_pair_label(category[p.a_id], category[p.b_id], strategy),
         )
         for p in pairs
     ]

@@ -6,13 +6,15 @@ order, so a fixed seed reproduces the loss trace bitwise.
 
 Descent starts at W = I, every gradient is a sum of row gradients times
 the training set's base embeddings, and clipping and weight decay only
-rescale, so every iterate is W = a*I + coef.T @ span for a scalar a.
-The span is the set's n distinct base embeddings when n < d (the
-representer form), else the identity.  The steps update a and coef, so
-with n distinct texts a step costs n x n and n x d work instead of
-d x d, and W is formed once, after the last step.  In exact arithmetic
-this is the dense update `w -= lr * clip(g); w -= (lr * wd) * w`; in
-floating point it differs from it in rounding only.
+rescale, so every iterate is W = a*I + basis @ delta @ basis.T for a
+scalar a and an orthonormal basis of the set's n distinct texts (from
+their QR factorization) when n < d, else the identity.  The steps run
+the dense update `w -= lr * clip(g); w -= (lr * wd) * w` on the n x n
+part a*I + delta, over the texts' n coordinates in that basis: inner
+products, and so the losses and the gradient's norm, are the same in
+the basis as in d dimensions.  A step costs n x n work instead of d x d,
+and W is formed once, after the last step; it differs from the dense
+loop's in rounding only.
 
 Question-scope training fits one adapter per question, in question order,
 on the calling thread.
@@ -125,27 +127,13 @@ def _embed_examples(
     )
 
 
-@dataclass
-class _Basis:
-    """The span an adapter is trained in: W = a*I + coef.T @ span.
-
-    `span` is the m x d matrix of basis rows, or None for the identity
-    (m = d).  Text i is projected as a * emb[i] + coords[i] @ coef, and a
-    gradient g with respect to its projected row moves coef by the outer
-    product of loadings[i] and g.
-    """
-
-    span: np.ndarray | None
-    coords: np.ndarray  # (texts, m)
-    loadings: np.ndarray  # (texts, m)
-
-
-def _basis(emb: np.ndarray) -> _Basis:
-    """The distinct texts when there are fewer of them than dimensions, else the identity."""
-    n, d = emb.shape
-    if n >= d:
-        return _Basis(span=None, coords=emb, loadings=emb)
-    return _Basis(span=emb, coords=emb @ emb.T, loadings=np.eye(n))
+def _coordinates(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, x): an orthonormal basis of the texts' span and their coordinates
+    in it, emb.T = basis @ x.T; the identity and emb when texts >= dimensions."""
+    if len(emb) >= emb.shape[1]:
+        return np.eye(emb.shape[1]), emb
+    basis, r = np.linalg.qr(emb.T)
+    return basis, r.T
 
 
 # overflow and NaN end training through the checks in the loop, as a
@@ -154,13 +142,12 @@ def _basis(emb: np.ndarray) -> _Basis:
 def _descend(config: TrainConfig, ex: _Examples) -> tuple[np.ndarray, list[float], list[float]]:
     """Run the config's steps from W = I; (weights, batch losses, epoch means)."""
     sides, n = ex.rows.shape
-    d = ex.emb.shape[1]
-    basis = _basis(ex.emb)
-    coef = np.zeros((basis.coords.shape[1], d))
-    a = 1.0  # W = a*I + coef.T @ span
+    basis, x = _coordinates(ex.emb)
+    m = x.shape[1]
+    delta = np.zeros((m, m))
+    a = 1.0  # W = a*I + basis @ delta @ basis.T
     decay = config.learning_rate * config.weight_decay
     rng = np.random.default_rng(config.seed)
-    labels = ex.labels
     batch_losses: list[float] = []
     epoch_means: list[float] = []
     after = "before the first step"
@@ -169,36 +156,35 @@ def _descend(config: TrainConfig, ex: _Examples) -> tuple[np.ndarray, list[float
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            rows = ex.rows[:, batch].ravel()  # side by side
-            emb = ex.emb[rows]
-            projected = (a * emb + basis.coords[rows] @ coef).reshape(sides, -1, d)
+            coords = x[ex.rows[:, batch].ravel()]  # side by side
+            projected = (a * coords + coords @ delta.T).reshape(sides, -1, m)
             where = f"epoch {epoch}, batch {start // config.batch_size}"
             try:
                 if config.loss is LossKind.COSINE_SIMILARITY:
-                    loss, row_grads = cosine_similarity_rows(projected, labels[batch])
+                    loss, row_grads = cosine_similarity_rows(projected, ex.labels[batch])
                 elif config.loss is LossKind.COSINE_SENTENCE:
-                    loss, row_grads = cosine_sentence_rows(projected, labels[batch], config.scale)
+                    loss, row_grads = cosine_sentence_rows(projected, ex.labels[batch], config.scale)
                 else:
                     loss, row_grads = triplet_rows(projected, config.margin)
             except FloatingPointError as exc:  # a zero or non-finite projection
                 raise TrainingError(f"{exc} {after}") from exc
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at {where}")
-            # W's gradient is step.T @ emb, whose squared norm needs only the
-            # batch rows' Gram matrix
-            step = row_grads.reshape(-1, d)
-            norm = math.sqrt(max(np.vdot(emb @ emb.T, step @ step.T), 0.0))
+            # the basis is orthonormal, so this has the norm of W's gradient
+            grad = row_grads.reshape(-1, m).T @ coords
+            norm = np.linalg.norm(grad)
+            step = config.learning_rate
             if norm > config.max_grad_norm:
                 step *= config.max_grad_norm / norm
-            step *= config.learning_rate
-            coef -= basis.loadings[rows].T @ step
+            grad *= step
+            delta -= grad
             a -= decay * a
-            coef -= decay * coef
+            delta *= 1.0 - decay  # in place, with no d x d temporary in global scope
             after = f"after {where}"
             batch_losses.append(loss)
             epoch_losses.append(loss)
         epoch_means.append(float(np.mean(epoch_losses)))
-    weights = a * np.eye(d) + (coef.T if basis.span is None else coef.T @ basis.span)
+    weights = a * np.eye(len(basis)) + basis @ delta @ basis.T
     # the last step's weights are not projected again
     if not np.isfinite(weights).all():
         raise TrainingError(f"non-finite adapter weights {after}")

@@ -14,13 +14,14 @@ index.  Holding vectors in float32 makes save/load byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Question, Response
-from .embedding import BaseEmbedder
+from .embedding import BaseEmbedder, read_payload
 
 STORE_VERSION = 1
 REQUIRED_METADATA = ("response_text", "judgment")
@@ -114,14 +115,10 @@ class VectorStore:
                     f"embedder_id, got dim {dim!r} and count {count!r}"
                 )
             entries = [_entry(path, line, fh.readline()) for line in range(2, count + 2)]
-            payload = fh.read()
-        expected = count * dim * 4
-        if len(payload) != expected:
-            raise StoreError(
-                f"{path}: vector payload length mismatch, expected {expected} bytes, "
-                f"got {len(payload)}"
-            )
-        vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+            try:
+                vectors = read_payload(fh, (count, dim), "<f4")
+            except ValueError as exc:
+                raise StoreError(str(exc)) from None
         try:
             return cls(dim, header["embedder_id"], vectors, entries)
         except StoreError as exc:
@@ -129,7 +126,8 @@ class VectorStore:
 
 
 def _entry(path: Path, line: int, raw: bytes) -> Entry:
-    metadata = _json_object(path, line, raw)
+    # every row repeats the same keys: keep one copy of each
+    metadata = {sys.intern(key): value for key, value in _json_object(path, line, raw).items()}
     try:
         return Entry(metadata)
     except StoreError as exc:

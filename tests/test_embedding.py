@@ -3,6 +3,7 @@ import json
 import random
 import re
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -226,6 +227,18 @@ class TestAdapter:
         path.write_bytes(data[:-4])
         with pytest.raises(ValueError, match="payload length mismatch"):
             Adapter.load(path)
+
+    def test_huge_dim_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.adapter"
+        header = {"format": "embedding-adapter", "version": 1, "dim": 2**20}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*expected 8796093022208 bytes, got 64"):
+                Adapter.load(path)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize(
         "header",

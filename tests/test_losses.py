@@ -427,8 +427,10 @@ def reference_train(config, examples, texts_by_id, base):
     return weights, batch_losses, grad_norms
 
 
-def two_family_corpus(questions=("q1", "q2", "q3")):
-    """Questions with eight train answers each over two token families."""
+def two_family_corpus(questions=("q1", "q2", "q3"), reordered=False):
+    """Questions with eight train answers each over two token families;
+    `reordered` adds, per question, two more that repeat the words of an
+    earlier one in reverse order, under another label."""
     from conftest import make_corpus
     from ragrade.corpus import Label
 
@@ -444,6 +446,9 @@ def two_family_corpus(questions=("q1", "q2", "q3")):
             label = labels[i % 3]
             words = rng.choice(families[label is Label.CORRECT], size=4)
             rows.append((f"{q}r{i}", q, "train", label, " ".join(words) + f" {q} n{i}"))
+            if reordered and i in (1, 2):
+                reverse = " ".join([f"n{i}", q, *words[::-1]])
+                rows.append((f"{q}r{i}x", q, "train", labels[i - 1], reverse))
     return make_corpus({q: f"{q.upper()}?" for q in questions}, rows)
 
 
@@ -466,7 +471,7 @@ STEP_CONFIGS = {
 }
 LOSS_IDS = [kind.value for kind in STEP_CONFIGS]
 
-# The representer-form step and the dense step are the same descent in
+# The orthonormal-basis step and the dense step are the same descent in
 # different floating-point orders: adapters agree to max |dW| <=
 # WEIGHT_RTOL * max |W - I| + WEIGHT_ATOL, batch losses to LOSS_ATOL.
 WEIGHT_RTOL, WEIGHT_ATOL, LOSS_ATOL = 1e-9, 1e-15, 1e-12
@@ -519,17 +524,58 @@ class TestRepresenterStepMatchesReference:
         if loss is not LossKind.COSINE_SIMILARITY:
             assert 0.0 in norms  # a single-label pair batch, or no active hinge
 
+    @pytest.mark.parametrize("loss", list(STEP_CONFIGS), ids=LOSS_IDS)
+    @pytest.mark.parametrize("learning_rate", [6e-6, 0.3])
+    def test_rank_deficient_span_matches(self, loss, learning_rate):
+        """Answers with the same words in another order embed to the same
+        vector, so a question's texts span fewer dimensions than there are
+        texts; a basis from their Gram matrix's Cholesky factor fails here."""
+        corpus = two_family_corpus(("q1",), reordered=True)
+        texts = {r.id: r.text for r in corpus.split("train")}
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        config = replace(STEP_CONFIGS[loss], learning_rate=learning_rate)
+        examples = (sets.triplet_sets if loss is LossKind.TRIPLET else sets.pair_sets)["q1"]
+        base = HashEmbedder(24)
+        assert distinct_texts(examples) == len(texts) == 10
+        assert np.linalg.matrix_rank(base.embed_many(list(texts.values()))) == 8
+        result = train_adapter(config, examples, texts, base)
+        weights, batch_losses, _ = reference_train(config, examples, texts, base)
+        drift = np.max(np.abs(weights - np.eye(24)))
+        assert drift > 0.0
+        assert np.max(np.abs(result.adapter.weights - weights)) <= WEIGHT_RTOL * drift + WEIGHT_ATOL
+        np.testing.assert_allclose(result.batch_losses, batch_losses, rtol=0, atol=LOSS_ATOL)
+
     @pytest.mark.parametrize("n, d", [(1, 8), (7, 8), (8, 8), (9, 8), (36, 384), (384, 384), (500, 384)])
-    def test_basis_is_the_distinct_texts_below_the_dimension(self, n, d):
+    def test_basis_is_orthonormal_below_the_dimension(self, n, d):
         emb = unit_rows(np.random.default_rng(n), n, d)
-        basis = ragrade.training._basis(emb)
+        basis, x = ragrade.training._coordinates(emb)
         if n < d:
-            assert basis.span is emb
-            np.testing.assert_array_equal(basis.coords, emb @ emb.T)
-            np.testing.assert_array_equal(basis.loadings, np.eye(n))
+            assert basis.shape == (d, n) and x.shape == (n, n)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(x @ x.T, emb @ emb.T, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(x @ basis.T, emb, rtol=0, atol=1e-14)
         else:
-            assert basis.span is None
-            assert basis.coords is emb and basis.loadings is emb
+            np.testing.assert_array_equal(basis, np.eye(d))
+            assert x is emb
+
+    @pytest.mark.parametrize("loss", list(STEP_CONFIGS), ids=LOSS_IDS)
+    def test_weights_outside_the_span_only_decay(self, loss):
+        """For v orthogonal to the texts, W v = a v with a = (1 - lr*wd)^steps."""
+        corpus = two_family_corpus(("q1",))
+        texts = {r.id: r.text for r in corpus.split("train")}
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        examples = (sets.triplet_sets if loss is LossKind.TRIPLET else sets.pair_sets)["q1"]
+        config = STEP_CONFIGS[loss]
+        d = 24
+        base = HashEmbedder(d)
+        result = train_adapter(config, examples, texts, base)
+        emb = base.embed_many(sorted(texts.values()))
+        v = np.random.default_rng(0).normal(size=(d, 5))
+        v -= emb.T @ np.linalg.lstsq(emb.T, v, rcond=None)[0]  # the part orthogonal to the texts
+        assert np.max(np.abs(emb @ v)) < 1e-12 and np.min(np.linalg.norm(v, axis=0)) > 0.1
+        a = (1 - config.learning_rate * config.weight_decay) ** len(result.batch_losses)
+        assert a < 1.0
+        np.testing.assert_allclose(result.adapter.weights @ v, a * v, rtol=0, atol=1e-13)
 
 
 class TestTrainForCorpus:
