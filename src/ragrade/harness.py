@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, Question, Response, Scheme, collapse_label
-from .embedding import DEFAULT_DIM, AdaptedEmbedder, Adapter, BaseEmbedder, HashEmbedder
+from .embedding import DEFAULT_DIM, AdaptedEmbedder, Adapter, BaseEmbedder, EmbeddingError, HashEmbedder
 from .glm import (
     GenParams,
     GlmBackend,
@@ -207,7 +207,8 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     once on a thread pool while the next prompts are rendered.  Verdicts
     are still taken in response order, so the outcome equals a one-at-a-
     time run's, and of the backend errors the first in response order is
-    raised; an error in retrieval or rendering is raised when it occurs.
+    raised; an error in retrieval or rendering is raised when it occurs,
+    and a query the embedder rejects as a HarnessError naming the response.
     """
     g = grader
     with_examples = g.template.scenario == "with_examples"
@@ -221,7 +222,10 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
         question = g.questions[r.question_id]
         examples = None
         if with_examples:
-            retrieved = top_k(g.store, r.text, g.embedder, retrieval, question_id=r.question_id)
+            try:
+                retrieved = top_k(g.store, r.text, g.embedder, retrieval, question_id=r.question_id)
+            except EmbeddingError as exc:
+                raise HarnessError(f"response {r.id!r}: {exc}") from exc
             examples = format_examples(retrieved, g.scheme)
         bindings = PromptBindings(
             new_answer=r.text,

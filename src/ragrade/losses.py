@@ -1,14 +1,14 @@
 """Training losses over adapter embeddings, with analytic gradients.
 
-Each loss has a row-space core, `*_rows`, that takes a batch's
-*projected* rows as one (sides, examples, d) array, row i of each side
-belonging to example i, and returns (scalar loss, gradient with respect
-to those rows, of the same shape), differentiating through the
-re-normalization.
-Training steps call the cores directly.  The public losses take the
-adapter matrix plus batches of *base* embeddings, project them, and
-chain the row gradients into the gradient with respect to the matrix,
-the sum over sides of `row_grad.T @ base`.  All arithmetic is float64.
+Each loss takes the adapter matrix plus batches of *base* embeddings,
+one array per side with row i of each side belonging to example i, and
+returns (scalar loss, gradient with respect to the matrix).  A private
+row-space core per loss takes the batch's *projected* rows as one
+(sides, examples, d) array and returns the loss and its gradient with
+respect to those rows, differentiating through the re-normalization;
+the public loss projects the stacked sides with one product and chains
+the row gradients into the matrix's gradient with another.  Training
+steps call the public losses.  All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _cosine_grads(norms: np.ndarray, unit: np.ndarray, cos: np.ndarray, coeffs: 
     return (unit[::-1] - cos[:, None] * unit) * (coeffs / norms)[..., None]
 
 
-def cosine_similarity_rows(projected: np.ndarray, labels: np.ndarray):
+def _cosine_similarity_rows(projected: np.ndarray, labels: np.ndarray):
     """Mean squared residual between pair cosines and their binary labels.
 
     `projected` holds the pairs' projected rows, shape (2, pairs, d).
@@ -76,7 +76,7 @@ def cosine_similarity_rows(projected: np.ndarray, labels: np.ndarray):
     return loss, _cosine_grads(norms, unit, cos, 2.0 * residual / len(residual))
 
 
-def cosine_sentence_rows(projected: np.ndarray, labels: np.ndarray, scale: float = 1.0):
+def _cosine_sentence_rows(projected: np.ndarray, labels: np.ndarray, scale: float = 1.0):
     """Ranking loss over all (lower-expected, higher-expected) pair combinations.
 
     log(1 + sum over negative pair i, positive pair j of
@@ -100,7 +100,7 @@ def cosine_sentence_rows(projected: np.ndarray, labels: np.ndarray, scale: float
     return loss, _cosine_grads(norms, unit, cos, coeffs)
 
 
-def triplet_rows(projected: np.ndarray, margin: float = 3.0):
+def _triplet_rows(projected: np.ndarray, margin: float = 3.0):
     """Mean hinge max(|a-p| - |a-n| + margin, 0) on unit adapter embeddings.
 
     `projected` holds the anchor, positive and negative rows, shape
@@ -131,27 +131,25 @@ def triplet_rows(projected: np.ndarray, margin: float = 3.0):
 
 def _through_matrix(weights: np.ndarray, bases, rows_loss) -> tuple[float, np.ndarray]:
     """A row-space loss on `bases` projected through `weights`, and its
-    gradient with respect to `weights`."""
-    bases = [np.asarray(b, dtype=np.float64) for b in bases]
-    loss, row_grads = rows_loss(np.stack([b @ weights.T for b in bases]))
-    grad = row_grads[0].T @ bases[0]
-    for row_grad, base in zip(row_grads[1:], bases[1:]):
-        grad += row_grad.T @ base
-    return loss, grad
+    gradient with respect to `weights`, the sum over sides of row_grad.T @ base."""
+    stacked = np.asarray(bases, dtype=np.float64)  # (sides, examples, d)
+    flat = stacked.reshape(-1, weights.shape[1])
+    loss, row_grads = rows_loss((flat @ weights.T).reshape(stacked.shape))
+    return loss, row_grads.reshape(flat.shape).T @ flat
 
 
 def cosine_similarity_loss(
     weights: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """`cosine_similarity_rows` through the adapter matrix."""
-    return _through_matrix(weights, (base_a, base_b), lambda p: cosine_similarity_rows(p, labels))
+    """`_cosine_similarity_rows` through the adapter matrix."""
+    return _through_matrix(weights, (base_a, base_b), lambda p: _cosine_similarity_rows(p, labels))
 
 
 def cosine_sentence_loss(
     weights: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, labels: np.ndarray, scale: float = 1.0
 ) -> tuple[float, np.ndarray]:
-    """`cosine_sentence_rows` through the adapter matrix."""
-    return _through_matrix(weights, (base_a, base_b), lambda p: cosine_sentence_rows(p, labels, scale))
+    """`_cosine_sentence_rows` through the adapter matrix."""
+    return _through_matrix(weights, (base_a, base_b), lambda p: _cosine_sentence_rows(p, labels, scale))
 
 
 def triplet_loss(
@@ -161,11 +159,11 @@ def triplet_loss(
     base_negative: np.ndarray,
     margin: float = 3.0,
 ) -> tuple[float, np.ndarray]:
-    """`triplet_rows` through the adapter matrix."""
+    """`_triplet_rows` through the adapter matrix."""
     return _through_matrix(
         weights,
         (base_anchor, base_positive, base_negative),
-        lambda p: triplet_rows(p, margin),
+        lambda p: _triplet_rows(p, margin),
     )
 
 

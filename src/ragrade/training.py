@@ -6,15 +6,17 @@ order, so a fixed seed reproduces the loss trace bitwise.
 
 Descent starts at W = I, every gradient is a sum of row gradients times
 the training set's base embeddings, and clipping and weight decay only
-rescale, so every iterate is W = a*I + basis @ delta @ basis.T for a
-scalar a and an orthonormal basis of the set's n distinct texts (from
-their QR factorization) when n < d, else the identity.  The steps run
-the dense update `w -= lr * clip(g); w -= (lr * wd) * w` on the n x n
-part a*I + delta, over the texts' n coordinates in that basis: inner
-products, and so the losses and the gradient's norm, are the same in
-the basis as in d dimensions.  A step costs n x n work instead of d x d,
-and W is formed once, after the last step; it differs from the dense
-loop's in rounding only.
+rescale, so W acts as a scalar a on the complement of the texts' span.
+When a set has n < d distinct texts, the steps run on their n
+coordinates in an orthonormal basis of that span (from the texts' QR
+factorization), where inner products, and so the losses and the
+gradient's norm, are the same as in d dimensions: each step is the
+dense one, `loss, g = <loss>(M, *sides); M -= lr * clip_gradient(g);
+M -= lr * wd * M`, on the n x n matrix M of W on the span, and
+W = a*I + basis @ (M - a*I) @ basis.T is formed once, after the last
+step.  A step costs n x n work instead of d x d, and W differs from the
+dense loop's in rounding only.  With n >= d the basis is the identity
+and M is W itself.
 
 Question-scope training fits one adapter per question, in question order,
 on the calling thread.
@@ -29,16 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .embedding import Adapter, BaseEmbedder
-from .losses import (  # noqa: F401  perfbench's tracer wraps the d x d losses by name here
-    LossKind,
-    cosine_sentence_loss,
-    cosine_sentence_rows,
-    cosine_similarity_loss,
-    cosine_similarity_rows,
-    triplet_loss,
-    triplet_rows,
-)
+from .embedding import Adapter, BaseEmbedder, EmbeddingError
+from .losses import LossKind, clip_gradient, cosine_sentence_loss, cosine_similarity_loss, triplet_loss
 from .pairs import Pair, Scope, TrainingSets, Triplet, derive_seed
 
 
@@ -71,7 +65,7 @@ class TrainConfig:
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
     def manifest(self) -> dict:
         return {**dataclasses.asdict(self), "loss": self.loss.value}
@@ -119,19 +113,23 @@ def _embed_examples(
             raise TrainingError("pair labels must be 0 or 1")
     unique = sorted({i for ids in sides for i in ids})
     row_of = {i: row for row, i in enumerate(unique)}
+    try:
+        emb = base.embed_many([texts_by_id[i] for i in unique])
+    except EmbeddingError as exc:
+        raise TrainingError(f"embedding failed: {exc}") from exc
     return _Examples(
         kind="triplets" if triplet_mode else "pairs",
-        emb=base.embed_many([texts_by_id[i] for i in unique]),
+        emb=emb,
         rows=np.array([[row_of[i] for i in ids] for ids in sides], dtype=np.intp).T,
         labels=labels,
     )
 
 
-def _coordinates(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coordinates(emb: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """(basis, x): an orthonormal basis of the texts' span and their coordinates
-    in it, emb.T = basis @ x.T; the identity and emb when texts >= dimensions."""
+    in it, emb.T = basis @ x.T; (None, emb), the identity basis, when texts >= dimensions."""
     if len(emb) >= emb.shape[1]:
-        return np.eye(emb.shape[1]), emb
+        return None, emb
     basis, r = np.linalg.qr(emb.T)
     return basis, r.T
 
@@ -141,12 +139,11 @@ def _coordinates(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @np.errstate(over="ignore", invalid="ignore")
 def _descend(config: TrainConfig, ex: _Examples) -> tuple[np.ndarray, list[float], list[float]]:
     """Run the config's steps from W = I; (weights, batch losses, epoch means)."""
-    sides, n = ex.rows.shape
+    n = ex.rows.shape[1]
     basis, x = _coordinates(ex.emb)
-    m = x.shape[1]
-    delta = np.zeros((m, m))
-    a = 1.0  # W = a*I + basis @ delta @ basis.T
-    decay = config.learning_rate * config.weight_decay
+    lr, wd = config.learning_rate, config.weight_decay
+    weights = np.eye(x.shape[1])  # M: W on the span, in its coordinates
+    a = 1.0  # W on the span's complement
     rng = np.random.default_rng(config.seed)
     batch_losses: list[float] = []
     epoch_means: list[float] = []
@@ -156,35 +153,29 @@ def _descend(config: TrainConfig, ex: _Examples) -> tuple[np.ndarray, list[float
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            coords = x[ex.rows[:, batch].ravel()]  # side by side
-            projected = (a * coords + coords @ delta.T).reshape(sides, -1, m)
+            sides = x[ex.rows[:, batch]]
             where = f"epoch {epoch}, batch {start // config.batch_size}"
+            # by module global, so a wrapper installed on this module sees every step
             try:
                 if config.loss is LossKind.COSINE_SIMILARITY:
-                    loss, row_grads = cosine_similarity_rows(projected, ex.labels[batch])
+                    loss, grad = cosine_similarity_loss(weights, *sides, ex.labels[batch])
                 elif config.loss is LossKind.COSINE_SENTENCE:
-                    loss, row_grads = cosine_sentence_rows(projected, ex.labels[batch], config.scale)
+                    loss, grad = cosine_sentence_loss(weights, *sides, ex.labels[batch], scale=config.scale)
                 else:
-                    loss, row_grads = triplet_rows(projected, config.margin)
+                    loss, grad = triplet_loss(weights, *sides, margin=config.margin)
             except FloatingPointError as exc:  # a zero or non-finite projection
                 raise TrainingError(f"{exc} {after}") from exc
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at {where}")
-            # the basis is orthonormal, so this has the norm of W's gradient
-            grad = row_grads.reshape(-1, m).T @ coords
-            norm = np.linalg.norm(grad)
-            step = config.learning_rate
-            if norm > config.max_grad_norm:
-                step *= config.max_grad_norm / norm
-            grad *= step
-            delta -= grad
-            a -= decay * a
-            delta *= 1.0 - decay  # in place, with no d x d temporary in global scope
+            weights -= lr * clip_gradient(grad, config.max_grad_norm)
+            weights -= lr * wd * weights
+            a -= lr * wd * a
             after = f"after {where}"
             batch_losses.append(loss)
             epoch_losses.append(loss)
         epoch_means.append(float(np.mean(epoch_losses)))
-    weights = a * np.eye(len(basis)) + basis @ delta @ basis.T
+    if basis is not None:
+        weights = a * np.eye(len(basis)) + basis @ (weights - a * np.eye(len(weights))) @ basis.T
     # the last step's weights are not projected again
     if not np.isfinite(weights).all():
         raise TrainingError(f"non-finite adapter weights {after}")

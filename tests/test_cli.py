@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import ragrade.cli
 import ragrade.harness
 from ragrade.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
+from ragrade.corpus import Label, Response, write_jsonl
 from ragrade.embedding import Adapter
 
 # a global adapter this strong moves one ua verdict on the tiny corpus, so
@@ -68,6 +70,22 @@ class TestModuleEntry:
         )
         assert done.returncode == EXIT_RUNTIME
         assert done.stderr.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "split, train, named",
+        [("ua", False, "response 'bad'"), ("train", True, "question 'q1'")],
+        ids=["graded", "trained"],
+    )
+    def test_unembeddable_answer_is_named(self, tiny_corpus, tmp_path, split, train, named):
+        bad = Response(id="bad", question_id="q1", text="\u00bf\u2026?", label=Label.CONTRADICTORY)
+        splits = {**tiny_corpus.splits, split: (*tiny_corpus.split(split), bad)}
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(dataclasses.replace(tiny_corpus, splits=splits), path)
+        argv = ["evaluate", "--corpus", str(path), "--seeds", "1", "--dim", "32"]
+        done = run_module(*argv, *(["--train"] if train else []), cwd=tmp_path)
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr.startswith(f"error: {named}: ")
+        assert "no hashable features" in done.stderr
 
     def test_diverging_training_names_the_question_without_warnings(self, corpus_arg, tmp_path):
         done = run_module(

@@ -38,6 +38,7 @@ from ragrade.harness import (
 from ragrade.losses import LossKind
 from ragrade.pairs import Scope, Strategy
 from ragrade.prompts import load_template
+from ragrade.training import TrainingError
 from ragrade.vstore import RetrievalConfig, build_store, top_k
 
 
@@ -56,8 +57,9 @@ def nearest_neighbor_predictions(
     return out
 
 
-def oracle_corpus():
-    """ua texts repeat train texts exactly, so the 1-NN label always matches gold."""
+def oracle_corpus(extra=()):
+    """ua texts repeat train texts exactly, so the 1-NN label always matches gold;
+    `extra` rows are appended."""
     rows = [
         ("t1", "q1", "train", Label.CORRECT, "electrons circle the closed loop"),
         ("t2", "q1", "train", Label.CONTRADICTORY, "the loop must stay open to light it"),
@@ -68,6 +70,7 @@ def oracle_corpus():
         ("u2", "q1", "ua", Label.CONTRADICTORY, "the loop must stay open to light it"),
         ("u3", "q2", "ua", Label.CORRECT, "plants breathe in carbon dioxide gas"),
         ("u4", "q2", "ua", Label.IRRELEVANT, "summer days are long and warm"),
+        *extra,
     ]
     return make_corpus(
         {"q1": "Why does the bulb light?", "q2": "What do plants absorb?"},
@@ -246,6 +249,34 @@ class TestRunScenario:
         for key in ("scenario", "scheme", "per_class", "parse_failures", "runs", "seeds", "manifest"):
             assert key in obj
         assert obj["manifest"]["k"] == 3
+
+
+# punctuation only: the hash embedder finds no token in it
+UNHASHABLE = "\u00bf\u2026?"
+
+
+class TestUnembeddableAnswer:
+    """An answer the embedder rejects ends the run with an error naming it."""
+
+    def test_graded_answer_names_the_response(self):
+        corpus = oracle_corpus([("u5", "q2", "ua", Label.CORRECT, UNHASHABLE)])
+        with pytest.raises(HarnessError, match=r"^response 'u5': .*no hashable features"):
+            run_scenario(corpus, "ua", CFG)
+
+    def test_rag_fraction_graded_answer_names_the_response(self):
+        corpus = shifted_corpus(n=10)
+        bad = dataclasses.replace(corpus.split("uq")[3], text=UNHASHABLE)
+        uq = tuple(bad if r.id == bad.id else r for r in corpus.split("uq"))
+        corpus = dataclasses.replace(corpus, splits={**corpus.splits, "uq": uq})
+        # a fraction of 0.05 moves none of the 10 answers, so every one is graded
+        with pytest.raises(HarnessError, match=rf"^response '{bad.id}': .*no hashable features"):
+            rag_fraction_experiment(corpus, "uq", 0.05, CFG)
+
+    def test_train_answer_names_the_question(self):
+        corpus = oracle_corpus([("t6", "q2", "train", Label.CORRECT, UNHASHABLE)])
+        config = dataclasses.replace(CFG, train_adapter=True, epochs=1)
+        with pytest.raises(TrainingError, match=r"^question 'q2': .*no hashable features"):
+            run_scenario(corpus, "ua", config)
 
 
 class TestRagFraction:
