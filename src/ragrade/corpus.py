@@ -33,13 +33,14 @@ class Label(enum.Enum):
 
         Matching is case-insensitive and tolerant of underscore/hyphen/
         whitespace variants ("non_domain" == "non-domain").  Raises
-        UnknownLabelError for anything unrecognized.
+        UnknownLabelError for anything unrecognized, a non-string too.
         """
-        key = _normalize_label_text(text)
-        try:
-            return _LABEL_ALIASES[key]
-        except KeyError:
-            raise UnknownLabelError(text) from None
+        if isinstance(text, str):
+            # every alias is its own normal form, so only a miss normalizes
+            label = _LABEL_ALIASES.get(text) or _LABEL_ALIASES.get(_normalize_label_text(text))
+            if label is not None:
+                return label
+        raise UnknownLabelError(text)
 
 
 def _normalize_label_text(text: str) -> str:
@@ -214,83 +215,138 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # JSONL canonical format
 #
-# One JSON object per line:
+# One JSON object per line, blank lines skipped; every value shown as ...
+# is a string, and "references" an array of strings:
 #   {"kind": "question", "id": ..., "text": ..., "references": [...]}
 #   {"kind": "response", "id": ..., "question_id": ..., "split": ...,
 #    "text": ..., "label": ...}
 # ---------------------------------------------------------------------------
 
 
+_DECODER = json.JSONDecoder()
+
+# the JSON name of each type the decoder returns, for error messages
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "number",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+
+
 def parse_jsonl(path: str | Path, name: str | None = None) -> Corpus:
     """Parse the canonical JSONL corpus format.
 
-    Schema violations are reported with their line number and field.
+    One streamed pass: each non-blank line is decoded, checked and built
+    into its Question or Response before the next is read.  A line that
+    breaks the schema raises CorpusError naming path:line and the field.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
     questions: dict[str, Question] = {}
-    rows: list[tuple[int, dict]] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            rows.append((lineno, obj))
+    responses: dict[str, list[Response]] = {s: [] for s in SPLITS}
+    seen_r: set[str] = set()
 
-    def need(lineno: int, obj: dict, key: str):
+    def need(lineno: int, obj: dict, key: str, string: bool = True):
         if key not in obj:
             raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-        return obj[key]
+        value = obj[key]
+        if string and not isinstance(value, str):
+            raise CorpusError(
+                f"{path}:{lineno}: field {key!r} must be a string, got {_JSON_TYPES[type(value)]}"
+            )
+        return value
 
-    responses: dict[str, list[Response]] = {s: [] for s in SPLITS}
-    seen_q: set[str] = set()
-    seen_r: set[str] = set()
-    for lineno, obj in rows:
-        kind = need(lineno, obj, "kind")
-        if kind == "question":
-            qid = need(lineno, obj, "id")
-            if qid in seen_q:
-                raise CorpusError(f"{path}:{lineno}: duplicate question id {qid!r}")
-            seen_q.add(qid)
-            questions[qid] = Question(
-                id=qid,
-                text=need(lineno, obj, "text"),
-                reference_answers=tuple(obj.get("references", ())),
-            )
-        elif kind == "response":
-            rid = need(lineno, obj, "id")
-            if rid in seen_r:
-                raise CorpusError(f"{path}:{lineno}: duplicate response id {rid!r}")
-            seen_r.add(rid)
-            split = need(lineno, obj, "split")
-            if split not in SPLITS:
-                raise CorpusError(f"{path}:{lineno}: unknown split {split!r}")
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in _lines(fh, path):
             try:
-                label = Label.parse(need(lineno, obj, "label"))
-            except UnknownLabelError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            qid = need(lineno, obj, "question_id")
-            if qid not in questions:
+                obj, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                # json.loads rejects the line with its own message: a leading
+                # BOM, trailing data, or the raw decoder's error
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if not isinstance(obj, dict):
                 raise CorpusError(
-                    f"{path}:{lineno}: response {rid!r} references unknown "
-                    f"question {qid!r} (questions must precede responses)"
+                    f"{path}:{lineno}: expected a JSON object, got {_JSON_TYPES[type(obj)]}"
                 )
-            responses[split].append(
-                Response(id=rid, question_id=qid, text=need(lineno, obj, "text"), label=label)
-            )
-        else:
-            raise CorpusError(f"{path}:{lineno}: unknown kind {kind!r}")
+            kind = need(lineno, obj, "kind", string=False)
+            if kind == "question":
+                qid = need(lineno, obj, "id")
+                if qid in questions:
+                    raise CorpusError(f"{path}:{lineno}: duplicate question id {qid!r}")
+                references = obj.get("references", [])
+                if not isinstance(references, list):
+                    raise CorpusError(
+                        f"{path}:{lineno}: field 'references' must be an array of strings, "
+                        f"got {_JSON_TYPES[type(references)]}"
+                    )
+                for ref in references:
+                    if not isinstance(ref, str):
+                        raise CorpusError(
+                            f"{path}:{lineno}: field 'references' must be an array of strings, "
+                            f"got an array holding a {_JSON_TYPES[type(ref)]}"
+                        )
+                questions[qid] = Question(
+                    id=qid, text=need(lineno, obj, "text"), reference_answers=tuple(references)
+                )
+            elif kind == "response":
+                rid = need(lineno, obj, "id")
+                if rid in seen_r:
+                    raise CorpusError(f"{path}:{lineno}: duplicate response id {rid!r}")
+                seen_r.add(rid)
+                split = need(lineno, obj, "split", string=False)
+                if split not in SPLITS:
+                    raise CorpusError(f"{path}:{lineno}: unknown split {split!r}")
+                try:
+                    label = Label.parse(need(lineno, obj, "label"))
+                except UnknownLabelError as exc:
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from None
+                qid = need(lineno, obj, "question_id")
+                if qid not in questions:
+                    raise CorpusError(
+                        f"{path}:{lineno}: response {rid!r} references unknown "
+                        f"question {qid!r} (questions must precede responses)"
+                    )
+                responses[split].append(
+                    Response(id=rid, question_id=qid, text=need(lineno, obj, "text"), label=label)
+                )
+            else:
+                raise CorpusError(f"{path}:{lineno}: unknown kind {kind!r}")
 
     return Corpus(
         name=name or path.stem,
         questions=questions,
         splits={s: tuple(rs) for s, rs in responses.items() if rs},
     )
+
+
+def _lines(fh, path: Path):
+    """(line number, stripped line) of each non-blank line of the UTF-8 text fh reads."""
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+    except UnicodeDecodeError:
+        # the text layer decodes ahead of the lines it hands out, so the
+        # undecodable byte's line is found in the raw bytes
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start].decode("utf-8")
+            lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+            raise CorpusError(f"{path}:{lineno}: invalid UTF-8 ({exc})") from None
+        raise
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:

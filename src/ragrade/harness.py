@@ -41,7 +41,7 @@ from .prompts import (
     scheme_task,
 )
 from .training import TrainConfig, train_for_corpus
-from .vstore import RetrievalConfig, VectorStore, build_store, entry_from_response, top_k
+from .vstore import RetrievalConfig, StoreError, VectorStore, build_store, entry_from_response, top_k
 
 SCENARIOS = ("ua", "uq", "ud")
 
@@ -208,7 +208,8 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     are still taken in response order, so the outcome equals a one-at-a-
     time run's, and of the backend errors the first in response order is
     raised; an error in retrieval or rendering is raised when it occurs,
-    and a query the embedder rejects as a HarnessError naming the response.
+    and a failed retrieval (a query the embedder rejects, or one the
+    store cannot score) as a HarnessError naming the response.
     """
     g = grader
     with_examples = g.template.scenario == "with_examples"
@@ -224,7 +225,7 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
         if with_examples:
             try:
                 retrieved = top_k(g.store, r.text, g.embedder, retrieval, question_id=r.question_id)
-            except EmbeddingError as exc:
+            except (EmbeddingError, StoreError) as exc:
                 raise HarnessError(f"response {r.id!r}: {exc}") from exc
             examples = format_examples(retrieved, g.scheme)
         bindings = PromptBindings(

@@ -141,6 +141,24 @@ class TestValidate:
     def test_missing_file_runtime_error(self, tmp_path):
         assert cli(["validate", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_RUNTIME
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (b'{"kind": "response", "id": "a", "question_id": "q", "split": "train", "text": "t", "label": 5}',
+             "field 'label' must be a string, got number"),
+            (b"[5]", "expected a JSON object, got array"),
+            (b'{"kind": "question", "id": "p", "text": "P\xff?"}', "invalid UTF-8 ("),
+        ],
+        ids=["number label", "array line", "non-UTF-8 bytes"],
+    )
+    def test_malformed_line_exits_runtime_naming_it(self, tmp_path, second, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"kind": "question", "id": "q", "text": "Q?"}\n' + second + b"\n")
+        done = run_module("validate", "--corpus", str(path), cwd=tmp_path)
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr.startswith(f"error: {path}:2: {message}")
+        assert len(done.stderr.splitlines()) == 1, done.stderr  # no traceback
+
 
 class TestIngest:
     def test_jsonl_round_trip(self, corpus_arg, tmp_path):

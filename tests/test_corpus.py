@@ -1,21 +1,109 @@
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ragrade.corpus import (
+    _LABEL_ALIASES,
+    SPLITS,
     Corpus,
     CorpusError,
     Label,
     Question,
     Response,
     Scheme,
+    UnknownLabelError,
+    _normalize_label_text,
     collapse_label,
     parse_jsonl,
     parse_semeval_xml,
     validate_corpus,
     write_jsonl,
 )
-from conftest import make_corpus
+from conftest import FIXTURES, make_corpus
+
+
+def reference_label(text: str) -> Label:
+    """Label resolution by normalizing every string."""
+    try:
+        return _LABEL_ALIASES[_normalize_label_text(text)]
+    except KeyError:
+        raise UnknownLabelError(text) from None
+
+
+def reference_parse_jsonl(path, name=None) -> Corpus:
+    """Two passes: decode every line into a list, then validate and build.
+
+    The streamed parser must return equal corpora and raise the same
+    CorpusError messages wherever this one raises CorpusError.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise CorpusError(f"corpus file not found: {path}")
+    questions: dict[str, Question] = {}
+    rows: list[tuple[int, dict]] = []
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            rows.append((lineno, obj))
+
+    def need(lineno: int, obj: dict, key: str):
+        if key not in obj:
+            raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
+        return obj[key]
+
+    responses: dict[str, list[Response]] = {s: [] for s in SPLITS}
+    seen_q: set[str] = set()
+    seen_r: set[str] = set()
+    for lineno, obj in rows:
+        kind = need(lineno, obj, "kind")
+        if kind == "question":
+            qid = need(lineno, obj, "id")
+            if qid in seen_q:
+                raise CorpusError(f"{path}:{lineno}: duplicate question id {qid!r}")
+            seen_q.add(qid)
+            questions[qid] = Question(
+                id=qid,
+                text=need(lineno, obj, "text"),
+                reference_answers=tuple(obj.get("references", ())),
+            )
+        elif kind == "response":
+            rid = need(lineno, obj, "id")
+            if rid in seen_r:
+                raise CorpusError(f"{path}:{lineno}: duplicate response id {rid!r}")
+            seen_r.add(rid)
+            split = need(lineno, obj, "split")
+            if split not in SPLITS:
+                raise CorpusError(f"{path}:{lineno}: unknown split {split!r}")
+            try:
+                label = reference_label(need(lineno, obj, "label"))
+            except UnknownLabelError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+            qid = need(lineno, obj, "question_id")
+            if qid not in questions:
+                raise CorpusError(
+                    f"{path}:{lineno}: response {rid!r} references unknown "
+                    f"question {qid!r} (questions must precede responses)"
+                )
+            responses[split].append(
+                Response(id=rid, question_id=qid, text=need(lineno, obj, "text"), label=label)
+            )
+        else:
+            raise CorpusError(f"{path}:{lineno}: unknown kind {kind!r}")
+
+    return Corpus(
+        name=name or path.stem,
+        questions=questions,
+        splits={s: tuple(rs) for s, rs in responses.items() if rs},
+    )
 
 
 class TestLabelParsing:
@@ -36,6 +124,16 @@ class TestLabelParsing:
     def test_unknown_label(self):
         with pytest.raises(CorpusError, match="bogus"):
             Label.parse("bogus")
+
+    @pytest.mark.parametrize("value", [5, None, ["correct"], {"correct": 1}])
+    def test_non_string_is_unknown(self, value):
+        with pytest.raises(UnknownLabelError, match="unknown judgment string"):
+            Label.parse(value)
+
+    def test_every_alias_is_its_own_normal_form(self):
+        # Label.parse looks a string up as it is before normalizing it
+        for key in _LABEL_ALIASES:
+            assert _normalize_label_text(key) == key
 
 
 class TestCollapse:
@@ -146,6 +244,191 @@ class TestJsonl:
         again = parse_jsonl(out, name=tiny_corpus.name)
         assert again.questions == tiny_corpus.questions
         assert again.splits == tiny_corpus.splits
+
+
+# spellings Label.parse resolves, exact aliases and variants alike
+LABEL_SPELLINGS = [
+    "correct", "partially correct but incomplete", "contradictory", "irrelevant",
+    "non-domain", "NON_DOMAIN", "non domain", "partially_correct_incomplete",
+    "  Contradictory ", "pc inc", "PC-Incomplete", "contra", "nondomain", "Correct",
+    "IRRELEVANT", "partially-correct  but\tincomplete",
+]
+
+
+def generated_corpus_text(seed: int) -> str:
+    """A seeded corpus file with blank lines, mixed line endings, U+2028
+    inside texts, escaped and raw non-ASCII, and variant label spellings."""
+    rng = np.random.default_rng(seed)
+    words = ["volt", "bulb", "loop", "café", "naïve", "line sep", "gas", "¿qué?"]
+    lines = []
+
+    def emit(row):
+        text = json.dumps(row, ensure_ascii=bool(rng.integers(2)))
+        lines.append(text if rng.random() < 0.7 else f"  {text}\t")
+        if rng.random() < 0.2:
+            lines.append(" " * int(rng.integers(3)))
+
+    qids = [f"q{i}" for i in range(int(rng.integers(2, 6)))]
+    for qid in qids:
+        row = {"kind": "question", "id": qid, "text": " ".join(rng.choice(words, 4))}
+        if rng.random() < 0.8:
+            row["references"] = [" ".join(rng.choice(words, 3)) for _ in range(int(rng.integers(3)))]
+        emit(row)
+    for i in range(int(rng.integers(20, 60))):
+        emit({
+            "kind": "response",
+            "id": f"r{i}",
+            "question_id": str(rng.choice(qids)),
+            "split": str(rng.choice(SPLITS)),
+            "text": " ".join(rng.choice(words, int(rng.integers(1, 6)))),
+            "label": str(rng.choice(LABEL_SPELLINGS)),
+        })
+    return "".join(line + str(rng.choice(["\n", "\r\n", "\r"])) for line in lines)
+
+
+def write_text(path, text: str):
+    """Write text with its line endings as given."""
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def parse_error(parse, path) -> str:
+    with pytest.raises(CorpusError) as info:
+        parse(path)
+    return str(info.value)
+
+
+Q = {"kind": "question", "id": "q", "text": "Q?"}
+R = {"kind": "response", "id": "a", "question_id": "q", "split": "train", "text": "t", "label": "correct"}
+
+
+def without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
+# files on which the two-pass parser raised CorpusError; the messages stay
+ERROR_FILES = {
+    "missing kind": [Q, without(R, "kind")],
+    "missing question id": [without(Q, "id")],
+    "missing question text": [without(Q, "text")],
+    "missing response id": [Q, without(R, "id")],
+    "missing split": [Q, without(R, "split")],
+    "missing label": [Q, without(R, "label")],
+    "missing question_id": [Q, without(R, "question_id")],
+    "missing response text": [Q, without(R, "text")],
+    "duplicate question": [Q, R, Q],
+    "duplicate response": [Q, R, {**R, "split": "ua"}],
+    "duplicate before missing split": [Q, R, without(R, "split")],
+    "unknown split": [Q, {**R, "split": "dev"}],
+    "unknown label": [Q, {**R, "label": "meh"}],
+    "unknown question": [Q, {**R, "question_id": "nope"}],
+    "response before question": [R, Q],
+    "unknown kind": [Q, {**R, "kind": "answer"}],
+    "numeric kind": [{**Q, "kind": 3}],
+    "empty question text": [{**Q, "text": "  "}],
+    "empty response text": [Q, {**R, "text": ""}],
+    "truncated": [Q, '{"kind": "response", "id": "a"'],
+    "trailing object": [Q, "{} {}"],
+    "trailing word": [Q, json.dumps(R) + " x"],
+    "leading BOM": ["\ufeff" + json.dumps(Q)],
+    "BOM on a later line": [Q, "\ufeff" + json.dumps(R)],
+    "not JSON": [Q, "kind: response"],
+    "single quotes": ["{'kind': 'question'}"],
+}
+
+
+class TestOnePassMatchesReference:
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.jsonl")), ids=lambda p: p.name)
+    def test_fixtures(self, path):
+        assert parse_jsonl(path) == reference_parse_jsonl(path)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generated(self, tmp_path, seed):
+        path = write_text(tmp_path / "gen.jsonl", generated_corpus_text(seed))
+        assert parse_jsonl(path) == reference_parse_jsonl(path)
+        assert parse_jsonl(path, name="x") == reference_parse_jsonl(path, name="x")
+
+    def test_generated_files_hold_each_variant(self, tmp_path):
+        for seed in range(8):
+            text = generated_corpus_text(seed)
+            assert re.search("(?<!\r)\n", text) and "\r\n" in text and re.search("\r(?!\n)", text)
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            assert any(line and not line.strip() for line in lines)
+            corpus = parse_jsonl(write_text(tmp_path / "gen.jsonl", text))
+            assert any("\u2028" in r.text for split in corpus.splits.values() for r in split)
+            spellings = {json.loads(line)["label"] for line in lines if '"label"' in line}
+            assert spellings - {label.value for label in Label}
+
+    @pytest.mark.parametrize("rows", ERROR_FILES.values(), ids=ERROR_FILES.keys())
+    def test_error_messages_are_unchanged(self, tmp_path, rows):
+        text = "\n".join(row if isinstance(row, str) else json.dumps(row) for row in rows)
+        path = write_text(tmp_path / "bad.jsonl", text + "\n")
+        assert parse_error(parse_jsonl, path) == parse_error(reference_parse_jsonl, path)
+
+    def test_missing_file_message_is_unchanged(self, tmp_path):
+        path = tmp_path / "nope.jsonl"
+        assert parse_error(parse_jsonl, path) == parse_error(reference_parse_jsonl, path)
+
+
+# a second line that breaks the schema's types, and the error it raises
+TYPED_CASES = {
+    "number line": ("5", "expected a JSON object, got number"),
+    "array line": ('["kind"]', "expected a JSON object, got array"),
+    "string line": ('"kind"', "expected a JSON object, got string"),
+    "null line": ("null", "expected a JSON object, got null"),
+    "number label": (json.dumps({**R, "label": 5}), "field 'label' must be a string, got number"),
+    "null label": (json.dumps({**R, "label": None}), "field 'label' must be a string, got null"),
+    "null response text": (json.dumps({**R, "text": None}), "field 'text' must be a string, got null"),
+    "array response id": (json.dumps({**R, "id": ["r"]}), "field 'id' must be a string, got array"),
+    "number response id": (json.dumps({**R, "id": 7}), "field 'id' must be a string, got number"),
+    "array question_id": (
+        json.dumps({**R, "question_id": ["q"]}),
+        "field 'question_id' must be a string, got array",
+    ),
+    "array question id": (json.dumps({**Q, "id": ["p"]}), "field 'id' must be a string, got array"),
+    "null question text": (
+        json.dumps({**Q, "id": "p", "text": None}),
+        "field 'text' must be a string, got null",
+    ),
+    "object question text": (
+        json.dumps({**Q, "id": "p", "text": {"en": "Q?"}}),
+        "field 'text' must be a string, got object",
+    ),
+    "string references": (
+        json.dumps({**Q, "id": "p", "references": "abc"}),
+        "field 'references' must be an array of strings, got string",
+    ),
+    "null references": (
+        json.dumps({**Q, "id": "p", "references": None}),
+        "field 'references' must be an array of strings, got null",
+    ),
+    "boolean reference": (
+        json.dumps({**Q, "id": "p", "references": ["ok", True]}),
+        "field 'references' must be an array of strings, got an array holding a boolean",
+    ),
+}
+
+
+class TestTypedInput:
+    """Malformed values fail as CorpusError naming path:line and the field."""
+
+    @pytest.mark.parametrize("line, message", TYPED_CASES.values(), ids=TYPED_CASES.keys())
+    def test_malformed_value_names_line_and_field(self, tmp_path, line, message):
+        path = write_text(tmp_path / "bad.jsonl", json.dumps(Q) + "\n" + line + "\n")
+        assert parse_error(parse_jsonl, path) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad_line", [1, 3, 700])
+    def test_non_utf8_bytes_name_the_line(self, tmp_path, ending, bad_line):
+        # the bad byte may lie far past the lines decoded so far
+        rows = [json.dumps(Q)] + [json.dumps({**R, "id": f"r{i}"}) for i in range(1, 800)]
+        raw = [row.encode() for row in rows]
+        raw[bad_line - 1] = raw[bad_line - 1][:5] + b"\xff" + raw[bad_line - 1][5:]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(ending.encode().join(raw) + ending.encode())
+        message = parse_error(parse_jsonl, path)
+        assert message.startswith(f"{path}:{bad_line}: invalid UTF-8 (")
+        assert "0xff" in message
 
 
 class TestValidate:

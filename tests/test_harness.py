@@ -279,6 +279,27 @@ class TestUnembeddableAnswer:
             run_scenario(corpus, "ua", config)
 
 
+class ZeroOn(HashEmbedder):
+    """Hash embedder that embeds one text to the zero vector."""
+
+    def __init__(self, dim, text):
+        super().__init__(dim)
+        self.text = text
+
+    def embed(self, text):
+        return np.zeros(self.dim) if text == self.text else super().embed(text)
+
+
+class TestZeroQueryEmbedding:
+    def test_graded_answer_names_the_response(self, tiny_corpus):
+        answer = tiny_corpus.split("ua")[1]
+        with pytest.raises(
+            HarnessError,
+            match=rf"^response '{answer.id}': query embedding norm 0\.0 is not finite and positive$",
+        ):
+            run_scenario(tiny_corpus, "ua", CFG, base=ZeroOn(CFG.embed_dim, answer.text))
+
+
 class TestRagFraction:
     def test_store_counts(self):
         corpus = shifted_corpus(n=30)
