@@ -240,29 +240,25 @@ _JSON_TYPES = {
 def parse_jsonl(path: str | Path, name: str | None = None) -> Corpus:
     """Parse the canonical JSONL corpus format.
 
-    One streamed pass: each non-blank line is decoded, checked and built
-    into its Question or Response before the next is read.  A line that
-    breaks the schema raises CorpusError naming path:line and the field.
+    One streamed pass: _jsonl_records decodes each non-blank line, and
+    _build_corpus checks it and builds its Question or Response before the
+    next is read.  A line that breaks the schema raises CorpusError naming
+    path:line and the field.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
-    questions: dict[str, Question] = {}
-    responses: dict[str, list[Response]] = {s: [] for s in SPLITS}
-    seen_r: set[str] = set()
-
-    def need(lineno: int, obj: dict, key: str, string: bool = True):
-        if key not in obj:
-            raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-        value = obj[key]
-        if string and not isinstance(value, str):
-            raise CorpusError(
-                f"{path}:{lineno}: field {key!r} must be a string, got {_JSON_TYPES[type(value)]}"
-            )
-        return value
-
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in _lines(fh, path):
+        return _build_corpus(_jsonl_records(fh, path), lambda n: f"{path}:{n}", name or path.stem)
+
+
+def _jsonl_records(fh, path: Path):
+    """(line number, decoded value) of each non-blank line of the UTF-8 text fh reads."""
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
                 obj, end = _DECODER.raw_decode(line)
             except json.JSONDecodeError:
@@ -274,68 +270,7 @@ def parse_jsonl(path: str | Path, name: str | None = None) -> Corpus:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(
-                    f"{path}:{lineno}: expected a JSON object, got {_JSON_TYPES[type(obj)]}"
-                )
-            kind = need(lineno, obj, "kind", string=False)
-            if kind == "question":
-                qid = need(lineno, obj, "id")
-                if qid in questions:
-                    raise CorpusError(f"{path}:{lineno}: duplicate question id {qid!r}")
-                references = obj.get("references", [])
-                if not isinstance(references, list):
-                    raise CorpusError(
-                        f"{path}:{lineno}: field 'references' must be an array of strings, "
-                        f"got {_JSON_TYPES[type(references)]}"
-                    )
-                for ref in references:
-                    if not isinstance(ref, str):
-                        raise CorpusError(
-                            f"{path}:{lineno}: field 'references' must be an array of strings, "
-                            f"got an array holding a {_JSON_TYPES[type(ref)]}"
-                        )
-                questions[qid] = Question(
-                    id=qid, text=need(lineno, obj, "text"), reference_answers=tuple(references)
-                )
-            elif kind == "response":
-                rid = need(lineno, obj, "id")
-                if rid in seen_r:
-                    raise CorpusError(f"{path}:{lineno}: duplicate response id {rid!r}")
-                seen_r.add(rid)
-                split = need(lineno, obj, "split", string=False)
-                if split not in SPLITS:
-                    raise CorpusError(f"{path}:{lineno}: unknown split {split!r}")
-                try:
-                    label = Label.parse(need(lineno, obj, "label"))
-                except UnknownLabelError as exc:
-                    raise CorpusError(f"{path}:{lineno}: {exc}") from None
-                qid = need(lineno, obj, "question_id")
-                if qid not in questions:
-                    raise CorpusError(
-                        f"{path}:{lineno}: response {rid!r} references unknown "
-                        f"question {qid!r} (questions must precede responses)"
-                    )
-                responses[split].append(
-                    Response(id=rid, question_id=qid, text=need(lineno, obj, "text"), label=label)
-                )
-            else:
-                raise CorpusError(f"{path}:{lineno}: unknown kind {kind!r}")
-
-    return Corpus(
-        name=name or path.stem,
-        questions=questions,
-        splits={s: tuple(rs) for s, rs in responses.items() if rs},
-    )
-
-
-def _lines(fh, path: Path):
-    """(line number, stripped line) of each non-blank line of the UTF-8 text fh reads."""
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield lineno, line
+            yield lineno, obj
     except UnicodeDecodeError:
         # the text layer decodes ahead of the lines it hands out, so the
         # undecodable byte's line is found in the raw bytes
@@ -347,6 +282,83 @@ def _lines(fh, path: Path):
             lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
             raise CorpusError(f"{path}:{lineno}: invalid UTF-8 ({exc})") from None
         raise
+
+
+def _build_corpus(records, where, name: str) -> Corpus:
+    """Check (location, record) pairs in the JSONL schema and build their Corpus.
+
+    Both corpus formats feed this one loop.  A record that breaks the
+    schema raises CorpusError prefixed with where(location), which is
+    called only then.
+    """
+    questions: dict[str, Question] = {}
+    responses: dict[str, list[Response]] = {s: [] for s in SPLITS}
+    seen_r: set[str] = set()
+
+    def fail(loc, message) -> CorpusError:
+        return CorpusError(f"{where(loc)}: {message}")
+
+    def need(loc, obj: dict, key: str, string: bool = True):
+        if key not in obj:
+            raise fail(loc, f"missing field {key!r}")
+        value = obj[key]
+        if string and not isinstance(value, str):
+            raise fail(loc, f"field {key!r} must be a string, got {_JSON_TYPES[type(value)]}")
+        return value
+
+    for loc, obj in records:
+        if not isinstance(obj, dict):
+            raise fail(loc, f"expected a JSON object, got {_JSON_TYPES[type(obj)]}")
+        kind = need(loc, obj, "kind", string=False)
+        if kind == "question":
+            qid = need(loc, obj, "id")
+            if qid in questions:
+                raise fail(loc, f"duplicate question id {qid!r}")
+            references = obj.get("references", [])
+            if not isinstance(references, list):
+                got = _JSON_TYPES[type(references)]
+                raise fail(loc, f"field 'references' must be an array of strings, got {got}")
+            for ref in references:
+                if not isinstance(ref, str):
+                    got = f"an array holding a {_JSON_TYPES[type(ref)]}"
+                    raise fail(loc, f"field 'references' must be an array of strings, got {got}")
+            text = need(loc, obj, "text")
+            try:
+                questions[qid] = Question(id=qid, text=text, reference_answers=tuple(references))
+            except CorpusError as exc:  # empty text
+                raise fail(loc, exc) from None
+        elif kind == "response":
+            rid = need(loc, obj, "id")
+            if rid in seen_r:
+                raise fail(loc, f"duplicate response id {rid!r}")
+            seen_r.add(rid)
+            split = need(loc, obj, "split", string=False)
+            if split not in SPLITS:
+                raise fail(loc, f"unknown split {split!r}")
+            try:
+                label = Label.parse(need(loc, obj, "label"))
+            except UnknownLabelError as exc:
+                raise fail(loc, exc) from None
+            qid = need(loc, obj, "question_id")
+            if qid not in questions:
+                raise fail(
+                    loc,
+                    f"response {rid!r} references unknown question {qid!r} "
+                    "(questions must precede responses)",
+                )
+            text = need(loc, obj, "text")
+            try:
+                responses[split].append(Response(id=rid, question_id=qid, text=text, label=label))
+            except CorpusError as exc:  # empty text
+                raise fail(loc, exc) from None
+        else:
+            raise fail(loc, f"unknown kind {kind!r}")
+
+    return Corpus(
+        name=name,
+        questions=questions,
+        splits={s: tuple(rs) for s, rs in responses.items() if rs},
+    )
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -388,14 +400,12 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
 # SemEval-2013 task 7 XML release
 # ---------------------------------------------------------------------------
 
+# A file's split is that of the first path component holding one of these
+# markers, read lowercased with "_" as "-"; a file under none is train.
 _SPLIT_MARKERS = (
     ("unseen-answers", "ua"),
-    ("unseen_answers", "ua"),
     ("unseen-questions", "uq"),
-    ("unseen_questions", "uq"),
     ("unseen-domains", "ud"),
-    ("unseen_domains", "ud"),
-    ("train", "train"),
 )
 
 # The student-answer judgment attribute has shifted names across release
@@ -405,7 +415,7 @@ _JUDGMENT_ATTRS = ("accuracy", "judgment", "category", "label")
 
 def _split_for(path: Path, root: Path) -> str:
     for part in path.relative_to(root).parts:
-        low = part.lower()
+        low = part.lower().replace("_", "-")
         for marker, split in _SPLIT_MARKERS:
             if marker in low:
                 return split
@@ -415,10 +425,13 @@ def _split_for(path: Path, root: Path) -> str:
 def parse_semeval_xml(root_path: str | Path, name: str | None = None) -> Corpus:
     """Parse a directory tree of per-question XML files.
 
-    Splits are inferred from path components (train / unseen-answers /
-    unseen-questions / unseen-domains); files without a marker are
-    treated as train.  Question text, reference answers, and student
-    answers with their judgment attribute are extracted from each file.
+    Each file is turned into JSONL-schema records, which _build_corpus
+    checks as it does parse_jsonl's.  Splits are inferred from path
+    components (see _SPLIT_MARKERS).  A question is emitted from the first
+    file that holds it, with that file's text (its id when blank) and
+    reference answers.  A blank student answer is dropped, and an answer
+    id seen before becomes <id>.<split>.<i>.  Errors name the file and the
+    answer id.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -426,54 +439,41 @@ def parse_semeval_xml(root_path: str | Path, name: str | None = None) -> Corpus:
     files = sorted(root.rglob("*.xml"))
     if not files:
         raise CorpusError(f"no question files found under {root}")
+    return _build_corpus(_xml_records(root, files), _xml_where, name or root.name)
 
-    questions: dict[str, Question] = {}
-    responses: dict[str, list[Response]] = {s: [] for s in SPLITS}
-    seen_r: set[str] = set()
+
+def _xml_where(loc: tuple[Path, str | None]) -> str:
+    path, answer = loc
+    return str(path) if answer is None else f"{path}: answer {answer!r}"
+
+
+def _xml_records(root: Path, files: list[Path]):
+    """((file, answer id or None), record) of each file's question and answers."""
+    emitted: set[str] = set()
+    seen: set[str] = set()
     for path in files:
         split = _split_for(path, root)
         try:
-            tree = ET.parse(path)
+            node = ET.parse(path).getroot()
         except ET.ParseError as exc:
             raise CorpusError(f"{path}: malformed XML ({exc})") from None
-        node = tree.getroot()
         qid = node.get("id") or path.stem
-        qtext_node = node.find("questionText")
-        qtext = (qtext_node.text or "").strip() if qtext_node is not None else ""
-        references = tuple(
-            (ref.text or "").strip()
-            for ref in node.iter("referenceAnswer")
-            if (ref.text or "").strip()
-        )
-        if qid not in questions:
-            questions[qid] = Question(
-                id=qid, text=qtext or qid, reference_answers=references
-            )
+        if qid not in emitted:
+            emitted.add(qid)
+            refs = [t for r in node.iter("referenceAnswer") if (t := (r.text or "").strip())]
+            text = node.findtext("questionText", "").strip() or qid
+            yield (path, None), dict(kind="question", id=qid, text=text, references=refs)
         for i, ans in enumerate(node.iter("studentAnswer")):
-            raw_label = next(
-                (ans.get(attr) for attr in _JUDGMENT_ATTRS if ans.get(attr)), None
-            )
-            if raw_label is None:
-                raise CorpusError(f"{path}: studentAnswer without judgment attribute")
-            try:
-                label = Label.parse(raw_label)
-            except UnknownLabelError:
-                raise CorpusError(
-                    f"{path}: unknown judgment string {raw_label!r}"
-                ) from None
             rid = ans.get("id") or f"{qid}.{split}.{i}"
-            if rid in seen_r:
+            loc = (path, rid)
+            if rid in seen:
                 rid = f"{rid}.{split}.{i}"
-            seen_r.add(rid)
+            seen.add(rid)
             text = (ans.text or "").strip()
             if not text:
                 continue
-            responses[split].append(
-                Response(id=rid, question_id=qid, text=text, label=label)
-            )
-
-    return Corpus(
-        name=name or root.name,
-        questions=questions,
-        splits={s: tuple(rs) for s, rs in responses.items() if rs},
-    )
+            record = dict(kind="response", id=rid, question_id=qid, split=split, text=text)
+            label = next(filter(None, map(ans.get, _JUDGMENT_ATTRS)), None)
+            if label is not None:  # else the loop reports the missing field
+                record["label"] = label
+            yield loc, record

@@ -44,12 +44,6 @@ def _normalize(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, projected / norms[..., None]
 
 
-def _project(weights: np.ndarray, base: np.ndarray):
-    """(projected, norms, unit) for rows of base through W; projected[i] = W @ base[i]."""
-    projected = base @ weights.T
-    return projected, *_normalize(projected)
-
-
 def _pair_cosines(projected: np.ndarray):
     """(norms, unit rows, cosine of each pair) of projected rows of shape (2, pairs, d)."""
     norms, unit = _normalize(projected)

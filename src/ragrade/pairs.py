@@ -293,23 +293,6 @@ def write_pairs_jsonl(pairs: list[Pair], path: str | Path) -> None:
             )
 
 
-def read_pairs_jsonl(path: str | Path) -> list[Pair]:
-    pairs = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                pairs.append(
-                    Pair(
-                        a_id=obj["a"],
-                        b_id=obj["b"],
-                        question_id=obj["qid"],
-                        label=obj["label"],
-                    )
-                )
-    return pairs
-
-
 def write_triplets_jsonl(triplets: list[Triplet], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for t in triplets:
@@ -324,20 +307,3 @@ def write_triplets_jsonl(triplets: list[Triplet], path: str | Path) -> None:
                 )
                 + "\n"
             )
-
-
-def read_triplets_jsonl(path: str | Path) -> list[Triplet]:
-    triplets = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                triplets.append(
-                    Triplet(
-                        anchor_id=obj["anchor"],
-                        positive_id=obj["pos"],
-                        negative_id=obj["neg"],
-                        question_id=obj["qid"],
-                    )
-                )
-    return triplets

@@ -29,7 +29,6 @@ from ragrade.glm import ScriptedBackend
 from ragrade.harness import ExperimentConfig, Grader, rag_fraction_experiment, run_scenario
 from ragrade.losses import (
     LossKind,
-    _project,
     cosine_sentence_loss,
     cosine_similarity_loss,
     triplet_loss,
@@ -111,6 +110,13 @@ def test_criterion_1_metric_oracle_equivalence():
 # -----------------------------------------------------------------------
 # 2. Gradient correctness
 # -----------------------------------------------------------------------
+
+
+def _project(weights, base):
+    """(projected, norms, unit) for rows of base through W; projected[i] = W @ base[i]."""
+    projected = base @ weights.T
+    norms = np.linalg.norm(projected, axis=-1)
+    return projected, norms, projected / norms[..., None]
 
 
 def elementwise_fd(fn, weights, h=1e-5):

@@ -10,8 +10,9 @@ import pytest
 import ragrade.cli
 import ragrade.harness
 from ragrade.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
-from ragrade.corpus import Label, Response, write_jsonl
+from ragrade.corpus import Label, Response, parse_jsonl, write_jsonl
 from ragrade.embedding import Adapter
+from conftest import semeval_records, write_records, write_semeval_tree
 
 # a global adapter this strong moves one ua verdict on the tiny corpus, so
 # grading with and without training can be told apart
@@ -166,6 +167,17 @@ class TestIngest:
         assert cli(["ingest", "--jsonl", corpus_arg, "--out", str(out)]) == EXIT_OK
         assert out.exists()
         assert cli(["validate", "--corpus", str(out)]) == EXIT_OK
+
+    def test_xml_tree_writes_the_jsonl_bytes_of_its_records(self, tmp_path):
+        records = semeval_records(
+            seed=5, train_questions=3, train=12, ua=4, uq_questions=2, uq=5, ud_questions=2, ud=6
+        )
+        expected = tmp_path / "expected.jsonl"
+        write_jsonl(parse_jsonl(write_records(tmp_path / "records.jsonl", records)), expected)
+        tree = write_semeval_tree(tmp_path / "tree", records)
+        out = tmp_path / "out.jsonl"
+        assert cli(["ingest", "--xml-root", str(tree), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_needs_exactly_one_source(self, corpus_arg, tmp_path):
         assert cli(["ingest", "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE

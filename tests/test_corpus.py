@@ -22,7 +22,7 @@ from ragrade.corpus import (
     validate_corpus,
     write_jsonl,
 )
-from conftest import FIXTURES, make_corpus
+from conftest import FIXTURES, make_corpus, semeval_records, write_records, write_semeval_tree
 
 
 def reference_label(text: str) -> Label:
@@ -70,11 +70,13 @@ def reference_parse_jsonl(path, name=None) -> Corpus:
             if qid in seen_q:
                 raise CorpusError(f"{path}:{lineno}: duplicate question id {qid!r}")
             seen_q.add(qid)
-            questions[qid] = Question(
-                id=qid,
-                text=need(lineno, obj, "text"),
-                reference_answers=tuple(obj.get("references", ())),
-            )
+            text = need(lineno, obj, "text")
+            try:
+                questions[qid] = Question(
+                    id=qid, text=text, reference_answers=tuple(obj.get("references", ()))
+                )
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
         elif kind == "response":
             rid = need(lineno, obj, "id")
             if rid in seen_r:
@@ -93,9 +95,11 @@ def reference_parse_jsonl(path, name=None) -> Corpus:
                     f"{path}:{lineno}: response {rid!r} references unknown "
                     f"question {qid!r} (questions must precede responses)"
                 )
-            responses[split].append(
-                Response(id=rid, question_id=qid, text=need(lineno, obj, "text"), label=label)
-            )
+            text = need(lineno, obj, "text")
+            try:
+                responses[split].append(Response(id=rid, question_id=qid, text=text, label=label))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
         else:
             raise CorpusError(f"{path}:{lineno}: unknown kind {kind!r}")
 
@@ -406,6 +410,8 @@ TYPED_CASES = {
         json.dumps({**Q, "id": "p", "references": ["ok", True]}),
         "field 'references' must be an array of strings, got an array holding a boolean",
     ),
+    "blank question text": (json.dumps({**Q, "id": "p", "text": " \t"}), "question 'p' has empty text"),
+    "empty response text": (json.dumps({**R, "text": ""}), "response 'a' has empty text"),
 }
 
 
@@ -528,6 +534,59 @@ class TestSemevalXml:
         _write_question_xml(tmp_path / "train" / "q3.xml", "q3", [("something", "excellent")])
         with pytest.raises(CorpusError, match=r"q3\.xml.*'excellent'"):
             parse_semeval_xml(tmp_path)
+
+    def test_missing_judgment_names_file_and_answer(self, tmp_path):
+        path = tmp_path / "train" / "q4.xml"
+        path.parent.mkdir()
+        path.write_text('<question id="q4"><studentAnswer id="s1">yes</studentAnswer></question>')
+        message = parse_error(parse_semeval_xml, tmp_path)
+        assert message == f"{path}: answer 's1': missing field 'label'"
+
+    @pytest.mark.parametrize(
+        "folder, split",
+        [
+            ("constrained/test-unseen-questions", "uq"),
+            ("retrained-2013/test-unseen-answers", "ua"),
+            ("Test_Unseen_Domains", "ud"),
+            ("sciEntsBank/TEST-UNSEEN_ANSWERS", "ua"),
+            ("training/2way", "train"),
+            ("train", "train"),
+            ("beetle", "train"),
+        ],
+    )
+    def test_split_from_unseen_markers_else_train(self, tmp_path, folder, split):
+        (tmp_path / folder).mkdir(parents=True)
+        _write_question_xml(tmp_path / folder / "q.xml", "q", [("yes", "correct")])
+        assert list(parse_semeval_xml(tmp_path).splits) == [split]
+
+    def test_renamed_id_colliding_with_an_earlier_id_names_file_and_id(self, tmp_path):
+        q = {"kind": "question", "id": "q", "text": "Q?"}
+        ua = {"kind": "response", "question_id": "q", "split": "ua", "text": "t", "label": "correct"}
+        # the train file's "a" is renamed to "a.train.0", which the ua file already holds
+        write_semeval_tree(
+            tmp_path,
+            [q, {**ua, "id": "a"}, {**ua, "id": "a.train.0"}, {**ua, "id": "a", "split": "train"}],
+        )
+        message = parse_error(parse_semeval_xml, tmp_path)
+        path = tmp_path / "train" / "000003-q.xml"
+        assert message == f"{path}: answer 'a': duplicate response id 'a.train.0'"
+
+    def test_blank_answer_dropped_and_first_file_question_wins(self, tmp_path):
+        for folder, text in [("test-unseen-answers", "First?"), ("train", "Second?")]:
+            (tmp_path / folder).mkdir()
+            answers = [("  ", "correct"), ("yes", "correct")]
+            _write_question_xml(tmp_path / folder / "q.xml", "q", answers, question_text=text)
+        corpus = parse_semeval_xml(tmp_path)
+        assert corpus.questions["q"].text == "First?"
+        assert [r.id for r in corpus.split("ua")] == ["q.a1"]
+
+    def test_agrees_with_jsonl_at_scientsbank_scale(self, tmp_path):
+        records = semeval_records(seed=16)
+        corpus = parse_jsonl(write_records(tmp_path / "sb.jsonl", records))
+        assert {s: len(rs) for s, rs in corpus.splits.items()} == {
+            "train": 4969, "ua": 540, "uq": 733, "ud": 4562
+        }
+        assert parse_semeval_xml(write_semeval_tree(tmp_path / "tree", records), name="sb") == corpus
 
 
 class TestCorpusInvariants:

@@ -11,7 +11,6 @@ from ragrade.corpus import Scheme
 from ragrade.embedding import HashEmbedder
 from ragrade.losses import (
     LossKind,
-    _project,
     clip_gradient,
     cosine_sentence_loss,
     cosine_similarity_loss,
@@ -121,6 +120,13 @@ class TestCosineSentenceLoss:
                 lambda w: cosine_sentence_loss(w, a, b, labels, scale=scale)[0], weights
             )
             assert rel_error(grad, numeric) < 1e-4
+
+
+def _project(weights, base):
+    """(projected, norms, unit) for rows of base through W; projected[i] = W @ base[i]."""
+    projected = base @ weights.T
+    norms = np.linalg.norm(projected, axis=-1)
+    return projected, norms, projected / norms[..., None]
 
 
 def triplet_hinges(weights, a, p, n, margin):

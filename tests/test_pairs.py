@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,6 @@ from ragrade.pairs import (
     enumerate_pairs,
     label_pairs,
     pair_label,
-    read_pairs_jsonl,
-    read_triplets_jsonl,
     write_pairs_jsonl,
     write_triplets_jsonl,
 )
@@ -345,6 +345,27 @@ class TestBuildTrainingSets:
         assert manifest["pairs_positive"] == 2
         assert manifest["scheme"] == "2way"
         assert manifest["seed"] == 0
+
+
+def read_pairs_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [
+            Pair(a_id=obj["a"], b_id=obj["b"], question_id=obj["qid"], label=obj["label"])
+            for obj in map(json.loads, filter(str.strip, fh))
+        ]
+
+
+def read_triplets_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [
+            Triplet(
+                anchor_id=obj["anchor"],
+                positive_id=obj["pos"],
+                negative_id=obj["neg"],
+                question_id=obj["qid"],
+            )
+            for obj in map(json.loads, filter(str.strip, fh))
+        ]
 
 
 class TestSerialization:
