@@ -400,8 +400,8 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
 # SemEval-2013 task 7 XML release
 # ---------------------------------------------------------------------------
 
-# A file's split is that of the first path component holding one of these
-# markers, read lowercased with "_" as "-"; a file under none is train.
+# A file's split is that of the first folder below the root holding one of
+# these markers, read lowercased with "_" as "-"; a file under none is train.
 _SPLIT_MARKERS = (
     ("unseen-answers", "ua"),
     ("unseen-questions", "uq"),
@@ -414,7 +414,7 @@ _JUDGMENT_ATTRS = ("accuracy", "judgment", "category", "label")
 
 
 def _split_for(path: Path, root: Path) -> str:
-    for part in path.relative_to(root).parts:
+    for part in path.relative_to(root).parent.parts:
         low = part.lower().replace("_", "-")
         for marker, split in _SPLIT_MARKERS:
             if marker in low:
@@ -426,12 +426,12 @@ def parse_semeval_xml(root_path: str | Path, name: str | None = None) -> Corpus:
     """Parse a directory tree of per-question XML files.
 
     Each file is turned into JSONL-schema records, which _build_corpus
-    checks as it does parse_jsonl's.  Splits are inferred from path
-    components (see _SPLIT_MARKERS).  A question is emitted from the first
-    file that holds it, with that file's text (its id when blank) and
-    reference answers.  A blank student answer is dropped, and an answer
-    id seen before becomes <id>.<split>.<i>.  Errors name the file and the
-    answer id.
+    checks as it does parse_jsonl's.  Splits are inferred from the folders
+    below the root, not the file name (see _SPLIT_MARKERS).  A question is
+    emitted from the first file that holds it, with that file's text (its
+    id when blank) and reference answers.  A blank student answer is
+    dropped, and an answer id seen before becomes <id>.<split>.<i>.  Errors
+    name the file and the answer id.
     """
     root = Path(root_path)
     if not root.is_dir():

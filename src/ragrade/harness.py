@@ -418,7 +418,8 @@ def run_scenario(
     is graded with examples over corpus-wide candidates; the adapter is
     never retrained on the moved fraction.  Any artifact not passed in
     is built on demand, once per seed, except that a rag-fraction store
-    no trained adapter ties to a seed is built once.
+    no trained adapter ties to a seed is built once, and the base
+    embedder, whose token memo every seed then shares, once per run.
     """
     scenario = scenario.lower()
     if scenario not in SCENARIOS:
@@ -428,6 +429,7 @@ def run_scenario(
         raise HarnessError(f"corpus has no {scenario} split")
     rag = config.rag_fraction is not None and scenario != "ua"
     backend = backend or make_backend(config.backend)
+    base = base or HashEmbedder(config.embed_dim)
 
     def grader_for(seed: int) -> Grader:
         return seed_grader(corpus, scenario, config, seed, backend, base, adapters, store, rag)

@@ -559,6 +559,19 @@ class TestSemevalXml:
         _write_question_xml(tmp_path / folder / "q.xml", "q", [("yes", "correct")])
         assert list(parse_semeval_xml(tmp_path).splits) == [split]
 
+    @pytest.mark.parametrize(
+        "path, split",
+        [
+            ("train/unseen-answers-notes.xml", "train"),
+            ("test-unseen-questions.xml", "train"),
+            ("test-unseen-answers/unseen-domains-q.xml", "ua"),
+        ],
+    )
+    def test_split_read_from_folders_not_the_file_name(self, tmp_path, path, split):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        _write_question_xml(tmp_path / path, "q", [("yes", "correct")])
+        assert list(parse_semeval_xml(tmp_path).splits) == [split]
+
     def test_renamed_id_colliding_with_an_earlier_id_names_file_and_id(self, tmp_path):
         q = {"kind": "question", "id": "q", "text": "Q?"}
         ua = {"kind": "response", "question_id": "q", "split": "ua", "text": "t", "label": "correct"}

@@ -421,6 +421,32 @@ class TestAdapterTraining:
         assert seeds == trained_seeds
 
 
+class TestOneBaseEmbedderPerRun:
+    """run_scenario makes one base embedder and hands it to every seed, so
+    its memo hashes each distinct token once per run."""
+
+    @pytest.mark.parametrize(
+        "scenario, train, rag_fraction",
+        [("ua", False, None), ("ua", True, None), ("uq", False, 0.5)],
+        ids=["ua", "ua-trained", "uq-rag-fraction"],
+    )
+    def test_each_token_hashed_once_over_three_seeds(self, tiny_corpus, monkeypatch, scenario, train, rag_fraction):
+        hashed = []
+        real = HashEmbedder._hash
+
+        def counting(self, token):
+            hashed.append(token)
+            return real(self, token)
+
+        monkeypatch.setattr(HashEmbedder, "_hash", counting)
+        config = ExperimentConfig(
+            seeds=(1, 2, 3), embed_dim=32, train_adapter=train, epochs=1, rag_fraction=rag_fraction
+        )
+        report = run_scenario(tiny_corpus, scenario, config)
+        assert report.runs == 3 and hashed
+        assert len(hashed) == len(set(hashed))
+
+
 class _FakeResponse:
     def __init__(self, status_code, text=""):
         self.status_code = status_code

@@ -573,7 +573,9 @@ class TestRepresenterStepMatchesReference:
     @pytest.mark.parametrize("loss", list(STEP_CONFIGS), ids=LOSS_IDS)
     def test_every_step_calls_the_loss_by_name(self, loss, monkeypatch):
         """A wrapper installed on `ragrade.training` sees every step, as
-        perfbench's tracer needs."""
+        perfbench's tracer needs: question scope makes one call per step of
+        the longest schedule, on the stack of the questions that still have
+        a batch, so the stacks add up to every question's steps."""
         name = f"{loss.value}_loss"
         real = getattr(ragrade.training, name)
         calls = []
@@ -586,8 +588,10 @@ class TestRepresenterStepMatchesReference:
         corpus = two_family_corpus()
         sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
         results = train_for_corpus(STEP_CONFIGS[loss], corpus, sets, HashEmbedder(24))
-        assert len(calls) == sum(len(r.batch_losses) for r in results.values()) > 0
-        assert all(shape[0] < 24 for shape in calls)  # in each set's coordinates
+        steps = [len(r.batch_losses) for r in results.values()]
+        assert sum(shape[0] for shape in calls) == sum(steps) > 0
+        assert len(calls) == max(steps)
+        assert all(len(shape) == 3 and shape[-1] < 24 for shape in calls)  # in each set's coordinates
 
     @pytest.mark.parametrize("n, d", [(1, 8), (7, 8), (8, 8), (9, 8), (36, 384), (384, 384), (500, 384)])
     def test_basis_is_orthonormal_below_the_dimension(self, n, d):
@@ -619,6 +623,203 @@ class TestRepresenterStepMatchesReference:
         a = (1 - config.learning_rate * config.weight_decay) ** len(result.batch_losses)
         assert a < 1.0
         np.testing.assert_allclose(result.adapter.weights @ v, a * v, rtol=0, atol=1e-13)
+
+
+def unequal_corpus(sizes):
+    """Questions with the given numbers of train answers over two token
+    families, labels cycling through three categories."""
+    from conftest import make_corpus
+    from ragrade.corpus import Label
+
+    rng = np.random.default_rng(11)
+    families = (
+        ["magnet", "coil", "flux", "winding", "field", "current"],
+        ["enzyme", "protein", "substrate", "catalyst", "reaction", "vial"],
+    )
+    labels = [Label.CORRECT, Label.CONTRADICTORY, Label.IRRELEVANT]
+    rows = []
+    for q, n in sizes.items():
+        for i in range(n):
+            label = labels[i % 3]
+            words = rng.choice(families[label is Label.CORRECT], size=4)
+            rows.append((f"{q}r{i}", q, "train", label, " ".join(words) + f" {q} n{i}"))
+    return make_corpus({q: f"{q.upper()}?" for q in sizes}, rows)
+
+
+class TestLockstepStack:
+    """Questions of different sizes step together: each is the dense loop's
+    descent to rounding, and the same inside the stack as alone."""
+
+    SIZES = {"q1": 5, "q2": 13, "q3": 8}
+
+    @pytest.mark.parametrize("loss", list(STEP_CONFIGS), ids=LOSS_IDS)
+    @pytest.mark.parametrize("learning_rate", [6e-6, 0.3])
+    def test_unequal_questions_match_reference_and_alone(self, loss, learning_rate):
+        corpus = unequal_corpus(self.SIZES)
+        texts = {r.id: r.text for r in corpus.split("train")}
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        source = sets.triplet_sets if loss is LossKind.TRIPLET else sets.pair_sets
+        config = replace(STEP_CONFIGS[loss], learning_rate=learning_rate, batch_size=3)
+        d = 24
+        base = HashEmbedder(d)
+        results = train_for_corpus(config, corpus, sets, base)
+        assert list(results) == list(self.SIZES)
+        # spans, schedules and short final batches all differ
+        assert len({distinct_texts(source[q]) for q in self.SIZES}) == 3
+        assert len({len(r.batch_losses) for r in results.values()}) == 3
+        assert any(len(source[q]) % config.batch_size for q in self.SIZES)
+        for qid, result in results.items():
+            qconfig = replace(config, seed=derive_seed(config.seed, qid, "train"))
+            weights, batch_losses, _ = reference_train(qconfig, source[qid], texts, base)
+            drift = np.max(np.abs(weights - np.eye(d)))
+            assert drift > 0.0
+            assert np.max(np.abs(result.adapter.weights - weights)) <= WEIGHT_RTOL * drift + WEIGHT_ATOL
+            assert len(result.batch_losses) == len(batch_losses)
+            np.testing.assert_allclose(result.batch_losses, batch_losses, rtol=0, atol=LOSS_ATOL)
+            alone_sets = replace(sets, pair_sets={qid: sets.pair_sets[qid]}, triplet_sets={qid: sets.triplet_sets[qid]})
+            for alone in (
+                train_for_corpus(config, corpus, alone_sets, base)[qid],
+                train_adapter(qconfig, source[qid], texts, base),
+            ):
+                assert np.max(np.abs(result.adapter.weights - alone.adapter.weights)) <= WEIGHT_RTOL * drift + WEIGHT_ATOL
+                np.testing.assert_allclose(result.batch_losses, alone.batch_losses, rtol=0, atol=LOSS_ATOL)
+                np.testing.assert_allclose(result.epoch_means, alone.epoch_means, rtol=0, atol=LOSS_ATOL)
+                assert result.adapter.trained_on == alone.adapter.trained_on
+
+    @pytest.mark.parametrize(
+        "loss, lr",
+        [(LossKind.COSINE_SENTENCE, 1e200), (LossKind.COSINE_SIMILARITY, 1e300), (LossKind.TRIPLET, 1e300)],
+        ids=["cosine_sentence", "cosine_similarity", "triplet"],
+    )
+    @pytest.mark.parametrize("epochs", [1, 2, 5])
+    @pytest.mark.parametrize("first", ["q1", "q2"])
+    def test_each_question_fails_where_it_fails_alone(self, loss, lr, epochs, first):
+        """Diverging questions of different sizes stop at the step, and with
+        the message, of the one-set loop; the first in question order is raised."""
+        from conftest import make_corpus
+        from ragrade.corpus import Label
+
+        texts = {**FOUR_TEXTS, **{f"c{k}": f"{v} extra" for k, v in FOUR_TEXTS.items()}}
+        corpus = make_corpus(
+            {"q1": "Q1?", "q2": "Q2?"},
+            [(rid, "q2" if rid.startswith("c") else "q1", "train", Label.CORRECT, text) for rid, text in texts.items()],
+        )
+        renamed = lambda e, **kw: replace(e, question_id="q2", **{f: "c" + getattr(e, f) for f in kw})
+        if loss is LossKind.TRIPLET:
+            q2 = [renamed(t, anchor_id=1, positive_id=1, negative_id=1) for t in TWO_TRIPLETS + TWO_TRIPLETS[:1]]
+            source = {"q1": TWO_TRIPLETS, "q2": q2}
+        else:
+            source = {"q1": FOUR_PAIRS, "q2": [renamed(p, a_id=1, b_id=1) for p in FOUR_PAIRS[:3]]}
+        source = {q: source[q] for q in (first, *({"q1", "q2"} - {first}))}
+        pair_sets, triplet_sets = ({}, source) if loss is LossKind.TRIPLET else (source, {})
+        sets = TrainingSets(Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, 0, pair_sets, triplet_sets)
+        config = TrainConfig(loss=loss, epochs=epochs, learning_rate=lr, batch_size=2, seed=0)
+        base = HashEmbedder(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError) as alone:
+                train_adapter(replace(config, seed=derive_seed(0, first, "train")), source[first], texts, base)
+            with pytest.raises(TrainingError) as together:
+                train_for_corpus(config, corpus, sets, base)
+        assert re.search(r"epoch \d+, batch \d+$", str(alone.value))
+        assert str(together.value) == f"question {first!r}: {alone.value}"
+
+    def test_a_non_finite_loss_names_its_question_and_step(self, monkeypatch):
+        """Labels that rank every negative pair above every positive one make
+        exp(scale * (cos_neg - cos_pos)) overflow: q2 fails at its first step
+        while q1 trains on, and q2's error is the one-set loop's."""
+        from conftest import make_corpus
+        from ragrade.corpus import Label
+
+        texts = {**FOUR_TEXTS, **{f"c{k}": f"{v} extra" for k, v in FOUR_TEXTS.items()}}
+        corpus = make_corpus(
+            {"q1": "Q1?", "q2": "Q2?"},
+            [(rid, "q2" if rid.startswith("c") else "q1", "train", Label.CORRECT, text) for rid, text in texts.items()],
+        )
+        flipped = [Pair(a_id="c" + p.a_id, b_id="c" + p.b_id, question_id="q2", label=1 - p.label) for p in FOUR_PAIRS]
+        sets = TrainingSets(
+            Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, 0, {"q1": FOUR_PAIRS, "q2": flipped}, {}
+        )
+        config = TrainConfig(loss=LossKind.COSINE_SENTENCE, epochs=2, learning_rate=0.1, batch_size=4, scale=1e308)
+        base = HashEmbedder(16)
+        qconfig = replace(config, seed=derive_seed(0, "q2", "train"))
+        with pytest.raises(TrainingError, match="^non-finite loss inf at epoch 0, batch 0$") as alone:
+            train_adapter(qconfig, flipped, texts, base)
+        stacks = []
+        real = ragrade.training.cosine_sentence_loss
+
+        def counting(weights, *args, **kwargs):
+            stacks.append(len(weights))
+            return real(weights, *args, **kwargs)
+
+        monkeypatch.setattr(ragrade.training, "cosine_sentence_loss", counting)
+        with pytest.raises(TrainingError) as together:
+            train_for_corpus(config, corpus, sets, base)
+        assert str(together.value) == f"question 'q2': {alone.value}"
+        assert stacks == [2, 1, 1]  # q2 is dropped at its first step, q1 takes both of its own
+
+    @pytest.mark.parametrize("loss", list(STEP_CONFIGS), ids=LOSS_IDS)
+    def test_masked_rows_add_exactly_nothing(self, loss):
+        """A stacked call equals each batch's own call to rounding; masked
+        rows, zero or not, change no bit of the losses or gradients and are
+        never normalized."""
+        rng = np.random.default_rng(4)
+        sides = 3 if loss is LossKind.TRIPLET else 2
+        call = {
+            LossKind.COSINE_SIMILARITY: lambda w, b, y, m=None: cosine_similarity_loss(w, *b, y, mask=m),
+            LossKind.COSINE_SENTENCE: lambda w, b, y, m=None: cosine_sentence_loss(w, *b, y, scale=2.0, mask=m),
+            LossKind.TRIPLET: lambda w, b, y, m=None: triplet_loss(w, *b, margin=0.5, mask=m),
+        }[loss]
+        dim, bs = 9, 6
+        sizes = [(9, 6), (5, 2), (7, 4), (3, 1)]  # (span, valid rows) per batch
+        weights = np.tile(np.eye(dim), (len(sizes), 1, 1))
+        batches = np.zeros((sides, len(sizes), bs, dim))
+        labels = np.zeros((len(sizes), bs))
+        mask = np.zeros((len(sizes), bs), dtype=bool)
+        for q, (m, n) in enumerate(sizes):
+            weights[q, :m, :m] += rng.normal(scale=0.3, size=(m, m))
+            batches[:, q, :n, :m] = rng.normal(size=(sides, n, m))
+            labels[q, :n] = np.arange(n) % 2
+            mask[q, :n] = True
+        losses, grads = call(weights, batches, labels, mask)
+        assert losses.shape == (len(sizes),) and grads.shape == weights.shape
+        for q, (m, n) in enumerate(sizes):
+            loss_q, grad_q = call(weights[q, :m, :m], batches[:, q, :n, :m], labels[q, :n])
+            assert abs(losses[q] - loss_q) <= 1e-12
+            np.testing.assert_allclose(grads[q, :m, :m], grad_q, rtol=0, atol=1e-12)
+            assert not grads[q, m:].any() and not grads[q, :, m:].any()
+        noisy = batches.copy()
+        noisy[:, ~mask] = rng.normal(size=(sides, int((~mask).sum()), dim))
+        noisy_losses, noisy_grads = call(weights, noisy, labels, mask)
+        assert np.array_equal(noisy_losses, losses) and np.array_equal(noisy_grads, grads)
+
+    @np.errstate(over="ignore", invalid="ignore")  # as in training
+    def test_a_batch_without_both_labels_is_not_normalized(self):
+        """As in the plain call, a stacked cosine_sentence batch with one
+        label adds exactly nothing, even when one of its rows projects to
+        zero or its matrix has diverged."""
+        rng = np.random.default_rng(5)
+        weights = np.tile(np.eye(4), (3, 1, 1))
+        weights[2] *= 1e300  # squared norms overflow
+        batches = rng.normal(size=(2, 3, 3, 4))
+        batches[0, 1, 0] = 0.0
+        labels = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        mask = np.ones((3, 3), dtype=bool)
+        losses, grads = cosine_sentence_loss(weights, *batches, labels, mask=mask)
+        assert np.array_equal(losses[1:], [0.0, 0.0]) and not grads[1:].any()
+        for q in (1, 2):
+            assert cosine_sentence_loss(weights[q], *batches[:, q], labels[q])[0] == 0.0
+        loss_0, grad_0 = cosine_sentence_loss(weights[0], *batches[:, 0], labels[0])
+        assert abs(losses[0] - loss_0) <= 1e-12
+        with pytest.raises(FloatingPointError):
+            cosine_sentence_loss(weights, *batches, labels[[1, 0, 2]], mask=mask)
+
+    def test_clip_gradient_clips_each_matrix_of_a_stack(self):
+        grads = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 0.1), np.zeros((3, 3))])
+        clipped = clip_gradient(grads, 1.5)
+        for got, grad in zip(clipped, grads):
+            np.testing.assert_allclose(got, clip_gradient(grad, 1.5), rtol=1e-15, atol=0)
+        assert np.array_equal(clipped[1:], grads[1:])
 
 
 class TestTrainForCorpus:
@@ -679,8 +880,8 @@ FIVE_QUESTIONS = ("q1", "q2", "q3", "q4", "q5")
 
 
 class TestInlineTraining:
-    """Question-scope training runs one question after another on the
-    calling thread."""
+    """Question-scope training runs on the calling thread and raises the
+    first failing question in question order."""
 
     def test_first_error_in_question_order(self):
         """q2 and q4 each hold a text that embeds to the zero vector.  q4
