@@ -18,12 +18,15 @@ step.  A step costs n x n work instead of d x d, and W differs from the
 dense loop's in rounding only.  With n >= d the basis is the identity
 and M is W itself.
 
-Question-scope training steps all of its questions in lockstep on the
-calling thread (`_descend_together`): each step calls the loss once on
-the stack of every question's next batch, zero-padded to the largest
-span and to full batches under a row mask, then clips and decays each
-question's matrix.  On 2 vCPUs at one BLAS thread, 135 questions of 36
-answers train in about 0.9 s per seed, against 3 s question by question.
+One loop, `_descend`, trains every set, on the calling thread: a stack
+of sets steps in lockstep, each step calling the loss once on the stack
+of every set's next batch, zero-padded to the largest span and to full
+batches under a row mask, then clipping and decaying each set's matrix.
+A single adapter (`train_adapter`, global scope) is a stack of one.
+Question scope stacks its questions by span, one stack per power-of-two
+span bucket, so padding never doubles a question's span.  On 2 vCPUs at
+one BLAS thread, 135 questions of 36 answers train in about 0.8 s per
+seed, against 2-3 s question by question.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ import numpy as np
 
 from .corpus import Corpus
 from .embedding import Adapter, BaseEmbedder, EmbeddingError
-from .losses import LossKind, clip_gradient, cosine_sentence_loss, cosine_similarity_loss, triplet_loss
+from .losses import (
+    LossKind,
+    ProjectionError,
+    clip_gradient,
+    cosine_sentence_loss,
+    cosine_similarity_loss,
+    triplet_loss,
+)
 from .pairs import Pair, Scope, TrainingSets, Triplet, derive_seed
 
 
@@ -148,8 +158,8 @@ def _batches(config: TrainConfig, seed: int, n: int) -> np.ndarray:
     return order.reshape(-1, config.batch_size)
 
 
-def _loss(config: TrainConfig, weights: np.ndarray, sides: np.ndarray, labels, mask=None):
-    """The config's loss on one batch, or on a stack of batches with their row mask."""
+def _loss(config: TrainConfig, weights: np.ndarray, sides: np.ndarray, labels: np.ndarray, mask: np.ndarray):
+    """The config's loss on a stack of batches with their row mask."""
     # by module global, so a wrapper installed on this module sees every step
     if config.loss is LossKind.COSINE_SIMILARITY:
         return cosine_similarity_loss(weights, *sides, labels, mask=mask)
@@ -168,57 +178,15 @@ def _after(steps: int, per_epoch: int) -> str:
     return f"after {_at(steps - 1, per_epoch)}" if steps else "before the first step"
 
 
-def _in_full(basis: np.ndarray | None, weights: np.ndarray, a: float) -> np.ndarray:
-    """W = a*I + basis @ (M - a*I) @ basis.T from M, W on the span in its coordinates."""
-    if basis is None:
-        return weights
-    full = basis @ (weights - a * np.eye(len(weights))) @ basis.T
-    full.flat[:: len(full) + 1] += a  # a*I + ..., as one pass over the diagonal
-    return full
-
-
-def _epoch_means(batch_losses: list[float], per_epoch: int) -> list[float]:
-    return [float(np.mean(batch_losses[i : i + per_epoch])) for i in range(0, len(batch_losses), per_epoch)]
-
-
 # overflow and NaN end training through the checks in the loop, as a
 # TrainingError rather than as RuntimeWarnings
 @np.errstate(over="ignore", invalid="ignore")
-def _descend(config: TrainConfig, ex: _Examples) -> tuple[np.ndarray, list[float], list[float]]:
-    """Run the config's steps from W = I; (weights, batch losses, epoch means)."""
-    n = ex.rows.shape[1]
-    per_epoch = -(-n // config.batch_size)
-    basis, x = _coordinates(ex.emb)
-    lr, wd = config.learning_rate, config.weight_decay
-    weights = np.eye(x.shape[1])  # M: W on the span, in its coordinates
-    a = 1.0  # W on the span's complement
-    batch_losses: list[float] = []
-    for batch in _batches(config, config.seed, n):
-        batch = batch[batch < n]
-        labels = None if ex.labels is None else ex.labels[batch]
-        try:
-            loss, grad = _loss(config, weights, x[ex.rows[:, batch]], labels)
-        except FloatingPointError as exc:  # a zero or non-finite projection
-            raise TrainingError(f"{exc} {_after(len(batch_losses), per_epoch)}") from exc
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss {loss} at {_at(len(batch_losses), per_epoch)}")
-        weights -= lr * clip_gradient(grad, config.max_grad_norm)
-        weights -= lr * wd * weights
-        a -= lr * wd * a
-        batch_losses.append(loss)
-    weights = _in_full(basis, weights, a)
-    # the last step's weights are not projected again
-    if not np.isfinite(weights).all():
-        raise TrainingError(f"non-finite adapter weights {_after(len(batch_losses), per_epoch)}")
-    return weights, batch_losses, _epoch_means(batch_losses, per_epoch)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _descend_together(
-    config: TrainConfig, jobs: list[tuple[int, _Examples]]
-) -> list[tuple[np.ndarray, list[float], list[float]] | TrainingError]:
-    """`_descend` for many sets at once, one (seed, examples) job each: the
-    result of each job, or the TrainingError that ended it.
+def _descend(
+    config: TrainConfig, jobs: list[tuple[int, _Examples]], base: BaseEmbedder
+) -> list[TrainResult | TrainingError]:
+    """Run the config's steps from W = I on many sets at once, one (seed,
+    examples) job each: the result of each job, or the TrainingError that
+    ended it.
 
     Every job keeps its own basis, seed and batch order.  Step t calls the
     loss once on the stacked t-th batches of the jobs with more than t
@@ -226,7 +194,7 @@ def _descend_together(
     and short batches to batch_size with masked rows that point at a zero
     row.  Jobs are stacked longest schedule first, so the active jobs are
     a leading slice of the stack.  A job that fails is dropped from the
-    stack; which one failed is found only then, by stepping each alone.
+    stack and the others step on.
     """
     lr, wd = config.learning_rate, config.weight_decay
     coords = [_coordinates(ex.emb) for _, ex in jobs]
@@ -254,7 +222,7 @@ def _descend_together(
         if ex.labels is not None:
             labels[: steps[j], i] = ex.labels[order]
 
-    weights = np.tile(np.eye(dim), (len(jobs), 1, 1))
+    weights = np.tile(np.eye(dim), (len(jobs), 1, 1))  # M: W on each span, in its coordinates
     trace = np.zeros(shape[:2])
     outcome: list = [None] * len(jobs)
     left = [steps[j] for j in stack]  # the stack's schedule lengths, longest first
@@ -265,25 +233,18 @@ def _descend_together(
             k -= 1
         if k == 0:
             break
-        batch = points[rows[t, :, :k]]
-        failures = {}
         try:
-            loss, grad = _loss(config, weights[:k], batch, labels[t, :k], mask[t, :k])
-            if not np.isfinite(loss).all():
-                for i in np.flatnonzero(~np.isfinite(loss)):
-                    failures[i] = TrainingError(f"non-finite loss {loss[i]} at {_at(t, per_epoch[stack[i]])}")
-        except FloatingPointError:  # a zero or non-finite projection: whose?
-            for i in range(k):
-                one = slice(i, i + 1)
-                try:
-                    _loss(config, weights[one], batch[:, one], labels[t, one], mask[t, one])
-                except FloatingPointError as exc:
-                    failures[i] = TrainingError(f"{exc} {_after(t, per_epoch[stack[i]])}")
-            if not failures:
-                raise
+            loss, grad = _loss(config, weights[:k], points[rows[t, :, :k]], labels[t, :k], mask[t, :k])
+        except ProjectionError as exc:  # a zero or non-finite projection
+            failures = {i: f"{exc} {_after(t, per_epoch[stack[i]])}" for i in exc.batches}
+        else:
+            failures = {
+                i: f"non-finite loss {loss[i]} at {_at(t, per_epoch[stack[i]])}"
+                for i in np.flatnonzero(~np.isfinite(loss))
+            }
         if failures:
-            for i, error in failures.items():
-                outcome[stack[i]] = error
+            for i, message in failures.items():
+                outcome[stack[i]] = TrainingError(message)
             keep = [i for i in range(len(stack)) if i not in failures]
             rows, labels, mask = rows[:, :, keep], labels[:, keep], mask[:, keep]
             weights, trace = weights[keep], trace[:, keep]
@@ -301,28 +262,30 @@ def _descend_together(
     for _ in range(len(trace)):
         a.append(a[-1] - lr * wd * a[-1])
     for i, j in enumerate(stack):
-        m = coords[j][1].shape[1]
-        full = _in_full(coords[j][0], weights[i, :m, :m].copy(), a[steps[j]])
+        (seed, ex), (basis, x), m = jobs[j], coords[j], coords[j][1].shape[1]
+        full = weights[i, :m, :m].copy()
+        if basis is not None:  # W = a*I + basis @ (M - a*I) @ basis.T
+            full = basis @ (full - a[steps[j]] * np.eye(m)) @ basis.T
+            full.flat[:: len(full) + 1] += a[steps[j]]  # as one pass over the diagonal
+        # the last step's weights are not projected again
         if not np.isfinite(full).all():
             outcome[j] = TrainingError(f"non-finite adapter weights {_after(steps[j], per_epoch[j])}")
-        else:
-            batch_losses = trace[: steps[j], i].tolist()
-            outcome[j] = full, batch_losses, _epoch_means(batch_losses, per_epoch[j])
+            continue
+        batch_losses = trace[: steps[j], i].tolist()
+        adapter = Adapter(
+            weights=full,
+            trained_on={
+                "config": dataclasses.replace(config, seed=seed).manifest(),
+                "base_embedder": base.embedder_id,
+                "examples": ex.rows.shape[1],
+                "kind": ex.kind,
+            },
+        )
+        epoch_means = [
+            float(np.mean(batch_losses[s : s + per_epoch[j]])) for s in range(0, steps[j], per_epoch[j])
+        ]
+        outcome[j] = TrainResult(adapter=adapter, batch_losses=batch_losses, epoch_means=epoch_means)
     return outcome
-
-
-def _result(config: TrainConfig, ex: _Examples, base: BaseEmbedder, descent) -> TrainResult:
-    weights, batch_losses, epoch_means = descent
-    adapter = Adapter(
-        weights=weights,
-        trained_on={
-            "config": config.manifest(),
-            "base_embedder": base.embedder_id,
-            "examples": ex.rows.shape[1],
-            "kind": ex.kind,
-        },
-    )
-    return TrainResult(adapter=adapter, batch_losses=batch_losses, epoch_means=epoch_means)
 
 
 def train_adapter(
@@ -341,7 +304,10 @@ def train_adapter(
     TrainingError that names the step.
     """
     ex = _embed_examples(config, examples, texts_by_id, base)
-    return _result(config, ex, base, _descend(config, ex))
+    (result,) = _descend(config, [(config.seed, ex)], base)
+    if isinstance(result, TrainingError):
+        raise result
+    return result
 
 
 def train_for_corpus(
@@ -356,9 +322,9 @@ def train_for_corpus(
     Returns a mapping question_id -> result for question scope, or
     {"global": result} for global scope.  Per-question runs derive their
     seed from the config seed and the question id, and train in lockstep
-    (`_descend_together`); questions whose set is empty are skipped.  The
-    TrainingError of the first failing question in question order is
-    raised with its id.
+    (`_descend`), one stack per span bucket; questions whose set is empty
+    are skipped.  The TrainingError of the first failing question in
+    question order is raised with its id.
     """
     texts_by_id = {r.id: r.text for r in corpus.split(split)}
     triplet_mode = config.loss is LossKind.TRIPLET
@@ -366,23 +332,24 @@ def train_for_corpus(
         examples = sets.merged_triplets() if triplet_mode else sets.merged_pairs()
         return {"global": train_adapter(config, examples, texts_by_id, base)}
     source = sets.triplet_sets if triplet_mode else sets.pair_sets
-    jobs: dict[str, tuple[TrainConfig, _Examples]] = {}
-    outcome: dict[str, tuple | TrainingError] = {}  # a descent or the error that ended it
+    jobs: dict[str, tuple[int, _Examples]] = {}
+    outcome: dict[str, TrainResult | TrainingError] = {}
     for qid, examples in source.items():
         if not examples:
             continue
         qconfig = dataclasses.replace(config, seed=derive_seed(config.seed, qid, "train"))
         try:
-            jobs[qid] = qconfig, _embed_examples(qconfig, examples, texts_by_id, base)
+            jobs[qid] = qconfig.seed, _embed_examples(qconfig, examples, texts_by_id, base)
         except TrainingError as exc:
             outcome[qid] = exc
-    if jobs:
-        descents = _descend_together(config, [(c.seed, ex) for c, ex in jobs.values()])
-        outcome.update(zip(jobs, descents))
-    results: dict[str, TrainResult] = {}
+    # one stack per span bucket (2^(b-1), 2^b], so that no question's span
+    # is padded to twice its size or more
+    buckets: dict[int, list[str]] = {}
+    for qid, (_, ex) in jobs.items():
+        buckets.setdefault((min(ex.emb.shape) - 1).bit_length(), []).append(qid)
+    for qids in buckets.values():
+        outcome.update(zip(qids, _descend(config, [jobs[qid] for qid in qids], base)))
     for qid in source:
         if isinstance(outcome.get(qid), TrainingError):
             raise TrainingError(f"question {qid!r}: {outcome[qid]}") from outcome[qid]
-        if qid in jobs:
-            results[qid] = _result(*jobs[qid], base, outcome[qid])
-    return results
+    return {qid: outcome[qid] for qid in source if qid in outcome}

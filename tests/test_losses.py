@@ -686,6 +686,39 @@ class TestLockstepStack:
                 np.testing.assert_allclose(result.epoch_means, alone.epoch_means, rtol=0, atol=LOSS_ATOL)
                 assert result.adapter.trained_on == alone.adapter.trained_on
 
+    def test_questions_stack_by_power_of_two_span(self, monkeypatch):
+        """Spans 5 and 8 share a stack, 13 stacks alone, and a question of
+        at least d texts, whose basis is the identity, pads no other to d:
+        each stack makes one call per step of its longest schedule, padded
+        to its largest span."""
+        sizes = {"q1": 5, "q2": 13, "q3": 8, "q4": 30}
+        corpus = unequal_corpus(sizes)
+        texts = {r.id: r.text for r in corpus.split("train")}
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        config = replace(STEP_CONFIGS[LossKind.COSINE_SENTENCE], batch_size=3)
+        d = 24
+        spans = {q: min(distinct_texts(sets.pair_sets[q]), d) for q in sizes}
+        assert spans == {"q1": 5, "q2": 13, "q3": 8, "q4": d}
+        calls = []
+        real = ragrade.training.cosine_sentence_loss
+
+        def counting(weights, *args, **kwargs):
+            calls.append(weights.shape[-1])
+            return real(weights, *args, **kwargs)
+
+        monkeypatch.setattr(ragrade.training, "cosine_sentence_loss", counting)
+        base = HashEmbedder(d)
+        results = train_for_corpus(config, corpus, sets, base)
+        steps = {q: len(r.batch_losses) for q, r in results.items()}
+        assert Counter(calls) == {
+            8: max(steps["q1"], steps["q3"]), 13: steps["q2"], d: steps["q4"]
+        }
+        qconfig = replace(config, seed=derive_seed(config.seed, "q4", "train"))
+        weights, batch_losses, _ = reference_train(qconfig, sets.pair_sets["q4"], texts, base)
+        drift = np.max(np.abs(weights - np.eye(d)))
+        assert np.max(np.abs(results["q4"].adapter.weights - weights)) <= WEIGHT_RTOL * drift + WEIGHT_ATOL
+        np.testing.assert_allclose(results["q4"].batch_losses, batch_losses, rtol=0, atol=LOSS_ATOL)
+
     @pytest.mark.parametrize(
         "loss, lr",
         [(LossKind.COSINE_SENTENCE, 1e200), (LossKind.COSINE_SIMILARITY, 1e300), (LossKind.TRIPLET, 1e300)],
@@ -811,8 +844,9 @@ class TestLockstepStack:
             assert cosine_sentence_loss(weights[q], *batches[:, q], labels[q])[0] == 0.0
         loss_0, grad_0 = cosine_sentence_loss(weights[0], *batches[:, 0], labels[0])
         assert abs(losses[0] - loss_0) <= 1e-12
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError) as info:  # batch 1's zero row is normalized now
             cosine_sentence_loss(weights, *batches, labels[[1, 0, 2]], mask=mask)
+        assert info.value.batches.tolist() == [1]
 
     def test_clip_gradient_clips_each_matrix_of_a_stack(self):
         grads = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 0.1), np.zeros((3, 3))])
