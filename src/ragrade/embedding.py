@@ -22,7 +22,9 @@ DEFAULT_DIM = 384
 
 
 class EmbeddingError(Exception):
-    pass
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row  # in an embed_many batch, the index of the text that failed
 
 
 class BaseEmbedder:
@@ -38,11 +40,25 @@ class BaseEmbedder:
         """Embed with question context; the base ignores it."""
         return self.embed(text)
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self.embed(t) for t in texts])
+    def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
+        """The texts' embed_scoped vectors, stacked."""
+        return _stack_rows(lambda text: self.embed_scoped(text, question_id), texts)
+
+
+def _stack_rows(fn, items) -> np.ndarray:
+    """np.stack of fn over items; an EmbeddingError gets the row that raised it."""
+    rows = []
+    for row, item in enumerate(items):
+        try:
+            rows.append(fn(item))
+        except EmbeddingError as exc:
+            exc.row = row
+            raise
+    return np.stack(rows)
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_FEATURE = np.dtype([("bucket", np.intp), ("sign", np.float64)])  # one hashed feature
 
 
 class HashEmbedder(BaseEmbedder):
@@ -52,8 +68,12 @@ class HashEmbedder(BaseEmbedder):
     hashed into dim buckets with a sign bit, accumulated, and
     L2-normalized.  Same text always maps to the same vector, across
     processes.  Each distinct token's (buckets, signs) is hashed once
-    and memoized on the instance; every bucket is a sum of +-1.0, which
-    is exact in any order, so the memo never changes a vector.
+    and memoized on the instance.  embed_many hashes its batch's new
+    tokens in one pass and sums and normalizes the whole batch at once.
+    Every bucket is a sum of +-1.0 and every squared norm a sum of
+    squared integers, which are exact in any order, so neither the memo
+    nor the batch ever changes a vector: embed_many's rows are bitwise
+    embed's.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
@@ -61,34 +81,64 @@ class HashEmbedder(BaseEmbedder):
             raise ValueError("dim must be at least 2")
         self.dim = dim
         self.embedder_id = f"hash-{dim}"
-        self._features: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+        # token -> the raw bytes of its features' (bucket, sign) records
+        self._features: dict[str, bytes] = {}
 
     def embed(self, text: str) -> np.ndarray:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             raise EmbeddingError(f"text has no hashable features: {text!r}")
-        buckets, signs = [], []
-        for token in tokens:
-            token_buckets, token_signs = self._features.get(token) or self._hash(token)
-            buckets += token_buckets
-            signs += token_signs
-        vec = np.bincount(buckets, weights=signs, minlength=self.dim)
+        feats = np.frombuffer(
+            b"".join([self._features.get(token) or self._hash([token])[0] for token in tokens]),
+            _FEATURE,
+        )
+        vec = np.bincount(feats["bucket"], weights=feats["sign"], minlength=self.dim)
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise EmbeddingError(f"text hashed to the zero vector: {text!r}")
         return vec / norm
 
-    def _hash(self, token: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Memoize the token's word feature and trigram features as (buckets, signs)."""
-        padded = f"#{token}#"
-        buckets, signs = [], []
-        for feature in ["w:" + token] + ["t:" + padded[i : i + 3] for i in range(len(padded) - 2)]:
-            digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
-            h = int.from_bytes(digest, "little")
-            buckets.append(h % self.dim)
-            signs.append(1.0 if h >> 63 else -1.0)
-        entry = self._features[token] = (tuple(buckets), tuple(signs))
-        return entry
+    def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
+        token_lists = [_TOKEN_RE.findall(text.lower()) for text in texts]
+        features = self._features
+        self._hash(list(set().union(*token_lists).difference(features)))
+        feats = np.frombuffer(
+            b"".join([features[token] for tokens in token_lists for token in tokens]), _FEATURE
+        )
+        counts = [sum(map(len, tokens)) + len(tokens) for tokens in token_lists]  # features per row
+        n, dim = len(texts), self.dim
+        index = np.repeat(np.arange(n) * dim, counts) + feats["bucket"]
+        sums = np.bincount(index, weights=feats["sign"], minlength=n * dim).reshape(n, dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            row = int(zero[0])
+            problem = "hashed to the zero vector" if token_lists[row] else "has no hashable features"
+            raise EmbeddingError(f"text {problem}: {texts[row]!r}", row)
+        return sums / norms[:, None]
+
+    def _hash(self, tokens: list[str]) -> list[bytes]:
+        """Memoize and return the features of each of the new, distinct tokens,
+        hashing all of them in one pass."""
+        features = []
+        for token in tokens:
+            padded = f"#{token}#"
+            features.append("w:" + token)
+            features += ["t:" + padded[i : i + 3] for i in range(len(padded) - 2)]
+        digests = b"".join(
+            [hashlib.blake2b(f.encode("utf-8"), digest_size=8).digest() for f in features]
+        )
+        h = np.frombuffer(digests, "<u8")
+        records = np.empty(len(h), _FEATURE)
+        records["bucket"] = h % np.uint64(self.dim)
+        records["sign"] = np.where(h >> np.uint64(63), 1.0, -1.0)
+        entries, start = [], 0
+        for token in tokens:
+            stop = start + len(token) + 1  # the word and one trigram per character
+            entry = self._features[token] = records[start:stop].tobytes()
+            entries.append(entry)
+            start = stop
+        return entries
 
 
 class RemoteEmbedder(BaseEmbedder):
@@ -107,7 +157,7 @@ class RemoteEmbedder(BaseEmbedder):
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
+    def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
         import requests
 
         poster = self._session.post if self._session is not None else requests.post
@@ -137,7 +187,7 @@ class RemoteEmbedder(BaseEmbedder):
             )
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if bad.size:
-            raise EmbeddingError(f"{where}: vector {bad[0]} is not finite")
+            raise EmbeddingError(f"{where}: vector {bad[0]} is not finite", int(bad[0]))
         return arr
 
 
@@ -228,8 +278,10 @@ class AdaptedEmbedder(BaseEmbedder):
     """Base embedder composed with one adapter, or with one per question.
 
     A single adapter applies to every text.  With a question id ->
-    adapter map, embed_scoped picks the question's adapter and falls back
-    to the plain base embedding for other questions and for embed.
+    adapter map, embed_scoped and embed_many pick the question's adapter
+    and fall back to the plain base embedding for other questions and
+    for embed.  embed_many embeds the batch with the base's embed_many,
+    then applies the adapter row by row.
     """
 
     def __init__(self, base: BaseEmbedder, adapters: Adapter | dict[str, Adapter]):
@@ -251,3 +303,8 @@ class AdaptedEmbedder(BaseEmbedder):
         vec = self.base.embed(text)
         adapter = self.adapters.get(question_id, self.adapter)
         return vec if adapter is None else adapter.apply(vec)
+
+    def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
+        vectors = self.base.embed_many(texts)
+        adapter = self.adapters.get(question_id, self.adapter)
+        return vectors if adapter is None else _stack_rows(adapter.apply, vectors)

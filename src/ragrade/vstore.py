@@ -5,10 +5,12 @@ plus one metadata-only entry per row, holding the original response
 text, its judgment and ids.  It is immutable once built: its constructor
 (and so build_store, load and extended) checks the matrix's shape and
 every row's unit norm in one vectorized pass and indexes the rows by
-question_id, and every query reuses matrix and index.  Retrieval is an
-exact matrix product over the candidate rows, cast to float64 per
-query: no approximation, descending score, ties broken by ascending row
-index.  Holding vectors in float32 makes save/load byte-stable.
+question_id, and every query reuses matrix and index.  build_store
+embeds each run of same-question responses in one embed_many batch and
+fills the matrix a batch at a time.  Retrieval is an exact matrix
+product over the candidate rows, cast to float64 per query: no
+approximation, descending score, ties broken by ascending row index.
+Holding vectors in float32 makes save/load byte-stable.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Question, Response
-from .embedding import BaseEmbedder, read_payload
+from .embedding import BaseEmbedder, EmbeddingError, read_payload
 
 STORE_VERSION = 1
 REQUIRED_METADATA = ("response_text", "judgment")
@@ -164,42 +167,65 @@ def build_store(
 ) -> VectorStore:
     """Embed graded responses into a store, one row per response.
 
-    Metadata always carries the response text, its judgment (canonical
-    five-way string), and the response/question ids; question text and
-    reference answer are included on request, which needs the question
-    map.
+    Each run of consecutive same-question responses is one embed_many
+    batch, scoped to that question; its rows' norms are checked and
+    divided out in one pass.  Metadata always carries the response text,
+    its judgment (canonical five-way string), and the response/question
+    ids; question text and reference answer are included on request,
+    which needs the question map.
     """
     if (include_question or include_reference) and questions is None:
         raise StoreError("question metadata requested but no question map given")
     vectors = np.empty((len(responses), embedder.dim), np.float32)
+    start = 0
+    for question_id, run in groupby(responses, key=lambda r: r.question_id):
+        block = list(run)
+        try:
+            emb = embedder.embed_many([r.text for r in block], question_id)
+        except Exception as exc:
+            row = (exc.row or 0) if isinstance(exc, EmbeddingError) else 0
+            raise StoreError(f"embedding failed for response {block[row].id!r}: {exc}") from exc
+        norms = np.sqrt(np.einsum("ij,ij->i", emb, emb))
+        bad = np.flatnonzero(~((0.0 < norms) & (norms < np.inf)))  # also NaN
+        if bad.size:
+            row = int(bad[0])
+            raise StoreError(
+                f"response {block[row].id!r}: embedding norm {float(norms[row])} "
+                "is not finite and positive"
+            )
+        vectors[start : start + len(block)] = emb / norms[:, None]
+        start += len(block)
     entries = []
-    for i, r in enumerate(responses):
-        vectors[i], entry = entry_from_response(r, embedder)
+    for r in responses:
+        metadata = _metadata(r)
         if include_question:
-            entry.metadata["question"] = questions[r.question_id].text
+            metadata["question"] = questions[r.question_id].text
         if include_reference:
             refs = questions[r.question_id].reference_answers
             if refs:
-                entry.metadata["reference_answer"] = "\n".join(refs)
-        entries.append(entry)
+                metadata["reference_answer"] = "\n".join(refs)
+        entries.append(Entry(metadata))
     return VectorStore(embedder.dim, embedder.embedder_id, vectors, entries)
 
 
 def entry_from_response(response: Response, embedder: BaseEmbedder) -> tuple[np.ndarray, Entry]:
     """One response's store row: its unit embedding, and an entry of its text,
-    judgment and ids (build_store may add more)."""
+    judgment and ids."""
     try:
         vec = embedder.embed_scoped(response.text, response.question_id)
     except Exception as exc:
         raise StoreError(f"embedding failed for response {response.id!r}: {exc}") from exc
     norm = _checked_norm(vec, f"response {response.id!r}: embedding")
-    metadata = {
+    return np.asarray(vec) / norm, Entry(_metadata(response))
+
+
+def _metadata(response: Response) -> dict:
+    return {
         "response_text": response.text,
         "judgment": response.label.value,
         "response_id": response.id,
         "question_id": response.question_id,
     }
-    return np.asarray(vec) / norm, Entry(metadata)
 
 
 def _checked_norm(vec: np.ndarray, what: str) -> float:

@@ -151,6 +151,91 @@ class TestMemoizedHashing:
                 assert outcome(embedder.embed, text) == outcome(reference_embed, text, embedder.dim)
 
 
+def answer_texts(seed: int, n: int) -> list[str]:
+    """SciEntsBank-shaped student answers: 1 to 40 words from a science
+    vocabulary with repeated words, some one-word answers and some words
+    seen in no other answer."""
+    rng = random.Random(seed)
+    vocab = (
+        "the a of and is it because energy heat light current circuit bulb battery switch wire "
+        "series parallel voltage resistance magnet iron nail compass north south pole force "
+        "gravity mass weight water evaporate condense solution dissolve salt sugar mixture "
+        "plant root stem leaf seed sun shadow moon earth rock mineral fossil sand clay soil "
+        "sound vibrate pitch loud 2 10 100"
+    ).split()
+    texts = []
+    for i in range(n):
+        if i % 10 == 0:
+            texts.append(rng.choice(vocab))
+            continue
+        words = [rng.choice(vocab) for _ in range(rng.randint(2, 40))]
+        if i % 7 == 0:
+            words += [words[0]] * rng.randint(1, 4)
+        if i % 5 == 0:
+            words.append(f"word{i}x")
+        texts.append(" ".join(words).capitalize() + rng.choice([".", "", "!", " because."]))
+    return texts
+
+
+class TestEmbedMany:
+    """embed_many hashes, sums and normalizes a whole batch at once;
+    its rows are bitwise embed's, one text at a time."""
+
+    @pytest.mark.parametrize("dim", [7, 384])
+    def test_bitwise_equal_to_stacked_embed(self, dim):
+        texts = answer_texts(seed=dim, n=1000)
+        assert any(" " not in t.strip(".!") for t in texts)  # one-word answers
+        stacked = np.stack([HashEmbedder(dim).embed(t) for t in texts])
+        batched = HashEmbedder(dim).embed_many(texts)
+        assert batched.dtype == stacked.dtype and batched.tobytes() == stacked.tobytes()
+
+    def test_memo_filled_by_embed_or_by_a_batch(self):
+        texts = answer_texts(seed=1, n=300)
+        embedder = HashEmbedder(64)
+        for text in texts[:150]:  # half the tokens come from embed's memo
+            embedder.embed(text)
+        first = embedder.embed_many(texts)
+        again = embedder.embed_many(texts[::-1])[::-1]  # every token from the memo
+        stacked = np.stack([HashEmbedder(64).embed(t) for t in texts])
+        assert first.tobytes() == stacked.tobytes() == again.tobytes()
+
+    @staticmethod
+    def error_at_dim_2(text: str) -> str:
+        """reference_embed's EmbeddingError message at dim 2, or '' if it embeds."""
+        result = outcome(reference_embed, text, 2)
+        return result if isinstance(result, str) else ""
+
+    @pytest.mark.parametrize("problem", ["no hashable features", "the zero vector"])
+    def test_error_is_embeds_and_carries_the_row(self, problem):
+        texts = seeded_texts(seed=0, n=400)
+        bad = next(t for t in texts if problem in self.error_at_dim_2(t))
+        good = [t for t in texts if not self.error_at_dim_2(t)]
+        with pytest.raises(EmbeddingError) as info:
+            HashEmbedder(2).embed_many(good[:2] + [bad] + good[2:5])
+        assert info.value.row == 2
+        assert f"EmbeddingError: {info.value}" == self.error_at_dim_2(bad)
+
+    def test_first_failing_row_is_reported(self):
+        texts = seeded_texts(seed=0, n=400)
+        cancelled = next(t for t in texts if "zero vector" in self.error_at_dim_2(t))
+        with pytest.raises(EmbeddingError, match="zero vector") as info:
+            HashEmbedder(2).embed_many(["cell", cancelled, "!!", "wall"])
+        assert info.value.row == 1
+
+    def test_empty_batch(self):
+        assert HashEmbedder(16).embed_many([]).shape == (0, 16)
+
+    def test_adapted_rows_are_embed_scoped(self):
+        rng = np.random.default_rng(0)
+        base = HashEmbedder(32)
+        routed = AdaptedEmbedder(base, {"q1": Adapter(np.eye(32) + 0.2 * rng.normal(size=(32, 32)))})
+        single = AdaptedEmbedder(base, Adapter(np.eye(32) + 0.2 * rng.normal(size=(32, 32))))
+        texts = answer_texts(seed=2, n=50)
+        for embedder, qid in ((routed, "q1"), (routed, "q2"), (routed, None), (single, "q1")):
+            stacked = np.stack([embedder.embed_scoped(t, qid) for t in texts])
+            assert embedder.embed_many(texts, qid).tobytes() == stacked.tobytes()
+
+
 class TestCosine:
     def test_identity(self):
         e1 = np.array([1.0, 0.0, 0.0])

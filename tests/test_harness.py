@@ -280,7 +280,7 @@ class TestUnembeddableAnswer:
 
 
 class ZeroOn(HashEmbedder):
-    """Hash embedder that embeds one text to the zero vector."""
+    """Hash embedder that embeds one text to the zero vector, alone or in a batch."""
 
     def __init__(self, dim, text):
         super().__init__(dim)
@@ -288,6 +288,11 @@ class ZeroOn(HashEmbedder):
 
     def embed(self, text):
         return np.zeros(self.dim) if text == self.text else super().embed(text)
+
+    def embed_many(self, texts, question_id=None):
+        vectors = super().embed_many(texts, question_id)
+        vectors[[text == self.text for text in texts]] = 0.0
+        return vectors
 
 
 class TestZeroQueryEmbedding:
@@ -434,9 +439,9 @@ class TestOneBaseEmbedderPerRun:
         hashed = []
         real = HashEmbedder._hash
 
-        def counting(self, token):
-            hashed.append(token)
-            return real(self, token)
+        def counting(self, tokens):
+            hashed.extend(tokens)
+            return real(self, tokens)
 
         monkeypatch.setattr(HashEmbedder, "_hash", counting)
         config = ExperimentConfig(

@@ -928,6 +928,11 @@ class TestInlineTraining:
             def embed(self, text):
                 return np.zeros(self.dim) if "poison" in text else super().embed(text)
 
+            def embed_many(self, texts, question_id=None):
+                vectors = super().embed_many(texts, question_id)
+                vectors[["poison" in text for text in texts]] = 0.0
+                return vectors
+
         sizes = {"q1": 2, "q2": 16, "q3": 2, "q4": 1}
         texts = {f"{q}t{i}": f"answer {i} about {q} field coil" for q, n in sizes.items() for i in range(n)}
         texts["q2bad"] = texts["q4bad"] = "poison"
@@ -962,6 +967,10 @@ class TestInlineTraining:
             def embed(self, text):
                 self.calls.append((text, threading.get_ident()))
                 return super().embed(text)
+
+            def embed_many(self, texts, question_id=None):
+                self.calls += [(text, threading.get_ident()) for text in texts]
+                return super().embed_many(texts, question_id)
 
         corpus = two_family_corpus(FIVE_QUESTIONS)
         sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)

@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import requests
 
 from conftest import make_corpus
 from ragrade.corpus import Label
-from ragrade.embedding import BaseEmbedder, HashEmbedder
+from ragrade.embedding import AdaptedEmbedder, Adapter, BaseEmbedder, HashEmbedder, RemoteEmbedder
 from ragrade.vstore import (
     Entry,
     RetrievalConfig,
@@ -42,6 +43,18 @@ class FixedEmbedder(BaseEmbedder):
 
     def embed(self, text):
         return self.table[text]
+
+
+class OneAtATime(BaseEmbedder):
+    """Hash embeddings through BaseEmbedder's default embed_many, one embed per text."""
+
+    def __init__(self, dim):
+        self.hash = HashEmbedder(dim)
+        self.dim = dim
+        self.embedder_id = f"one-at-a-time-{dim}"
+
+    def embed(self, text):
+        return self.hash.embed(text)
 
 
 def brute_force_top_k(matrix, query, k):
@@ -105,6 +118,34 @@ class TestBuild:
         message = r"response 'odd': embedding norm .* is not finite and positive"
         with pytest.raises(StoreError, match=message):
             build_store(list(corpus.split("train")), embedder)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0])
+    def test_bad_third_row_of_a_batch_names_its_response(self, bad):
+        corpus = make_corpus({"q0": "Q0?", "q1": "Q1?"}, [
+            ("a", "q0", "train", Label.CORRECT, "a"),
+            *((rid, "q1", "train", Label.CORRECT, rid) for rid in "bcde"),
+        ])
+        table = {rid: [1.0, 2.0] for rid in "abce"} | {"d": [bad, 0.0]}
+        message = r"^response 'd': embedding norm (nan|0\.0) is not finite and positive$"
+        with pytest.raises(StoreError, match=message):
+            build_store(list(corpus.split("train")), FixedEmbedder(table, dim=2))
+
+    def test_failing_third_row_of_a_batch_names_its_response(self):
+        texts = {"a": "a", "b": "the cell", "c": "wall", "d": "???", "e": "ohm"}
+        qids = {"a": "q0", "b": "q1", "c": "q1", "d": "q1", "e": "q1"}
+        corpus = make_corpus(
+            {"q0": "Q0?", "q1": "Q1?"},
+            [(rid, qids[rid], "train", Label.CORRECT, text) for rid, text in texts.items()],
+        )
+        responses = list(corpus.split("train"))
+        for embedder in (HashEmbedder(16), OneAtATime(16)):
+            with pytest.raises(StoreError, match=r"^embedding failed for response 'd': .*no hashable"):
+                build_store(responses, embedder)
+        # an adapter that sends d's base vector to zero
+        base = FixedEmbedder({text: [1.0, 0.0] for text in texts.values()} | {"???": [0.0, 1.0]}, 2)
+        routed = AdaptedEmbedder(base, {"q1": Adapter(np.diag([1.0, 0.0]))})
+        with pytest.raises(StoreError, match=r"^embedding failed for response 'd': adapter projected"):
+            build_store(responses, routed)
 
     def test_required_metadata_enforced(self):
         with pytest.raises(StoreError, match="judgment"):
@@ -510,6 +551,129 @@ class TestLoadRejectsMalformedFiles:
         again = tmp_path / "again.vdb"
         VectorStore.load(saved).save(again)
         assert again.read_bytes() == saved.read_bytes()
+
+
+def reference_store(responses, embedder, questions=None, include_question=False,
+                    include_reference=False) -> VectorStore:
+    """build_store one response at a time: embed_scoped, divide by the
+    vector's np.linalg.norm, cast to float32."""
+    vectors = np.empty((len(responses), embedder.dim), np.float32)
+    entries = []
+    for i, r in enumerate(responses):
+        vec = embedder.embed_scoped(r.text, r.question_id)
+        vectors[i] = vec / np.linalg.norm(vec)
+        metadata = {
+            "response_text": r.text,
+            "judgment": r.label.value,
+            "response_id": r.id,
+            "question_id": r.question_id,
+        }
+        if include_question:
+            metadata["question"] = questions[r.question_id].text
+        if include_reference and questions[r.question_id].reference_answers:
+            metadata["reference_answer"] = "\n".join(questions[r.question_id].reference_answers)
+        entries.append(Entry(metadata))
+    return VectorStore(embedder.dim, embedder.embedder_id, vectors, entries)
+
+
+def saved(store, path) -> bytes:
+    store.save(path)
+    return path.read_bytes()
+
+
+def batch_corpus(seed: int = 0):
+    """Answers to 5 questions; q0 and q2 each come back after another question's answers."""
+    rng = np.random.default_rng(seed)
+    vocab = "the a current circuit bulb battery series parallel magnet iron water salt plant root sun".split()
+    order = ["q0"] * 9 + ["q1"] * 7 + ["q0"] * 3 + ["q2"] * 12 + ["q3"] + ["q2"] * 2 + ["q4"] * 8
+    rows = [
+        (f"r{i}", qid, "train", list(Label)[i % len(Label)],
+         " ".join(rng.choice(vocab, size=rng.integers(1, 25))) + f" word{i % 4}")
+        for i, qid in enumerate(order)
+    ]
+    questions = {f"q{q}": f"question {q}?" for q in range(5)}
+    return make_corpus(questions, rows, references={"q0": ["ref one", "ref two"], "q3": ["r"]})
+
+
+class TestBuildMatchesRowByRow:
+    """build_store's saved bytes equal those of reference_store, which embeds
+    and normalizes one response at a time."""
+
+    DIM = 24
+
+    def embedder(self, kind, corpus):
+        rng = np.random.default_rng(5)
+        if kind == "hash":
+            return HashEmbedder(self.DIM)
+        if kind == "routed":
+            adapters = {
+                q: Adapter(np.eye(self.DIM) + 0.3 * rng.normal(size=(self.DIM, self.DIM)))
+                for q in ("q0", "q2", "q3")
+            }
+            return AdaptedEmbedder(HashEmbedder(self.DIM), adapters)
+        texts = {r.text for r in corpus.split("train")}
+        return FixedEmbedder(  # non-unit vectors, so the store normalizes them
+            {t: rng.normal(size=self.DIM) * rng.uniform(0.01, 100) for t in sorted(texts)},
+            self.DIM,
+        )
+
+    @pytest.mark.parametrize("kind", ["hash", "routed", "fixed"])
+    def test_saved_bytes_equal(self, kind, tmp_path):
+        corpus = batch_corpus()
+        responses = list(corpus.split("train"))
+        embedder = self.embedder(kind, corpus)
+        for options in ({}, {"include_question": True, "include_reference": True}):
+            built = build_store(responses, embedder, corpus.questions, **options)
+            expected = reference_store(responses, embedder, corpus.questions, **options)
+            assert saved(built, tmp_path / "built") == saved(expected, tmp_path / "expected")
+
+
+class CountingEmbedSession:
+    """A remote embedder's session: answers each post with 3x the texts'
+    hash embeddings and records the texts it got; a post holding one of
+    the failing texts is answered 503."""
+
+    def __init__(self, dim, failing=()):
+        self.base = HashEmbedder(dim)
+        self.failing = set(failing)
+        self.posts = []
+
+    def post(self, url, **kwargs):
+        texts = kwargs["json"]["texts"]
+        self.posts.append(texts)
+        resp = requests.Response()
+        resp.url = url
+        if self.failing.intersection(texts):
+            resp.status_code, resp._content = 503, b"down"
+        else:
+            vectors = 3 * self.base.embed_many(texts)
+            resp.status_code, resp._content = 200, json.dumps({"vectors": vectors.tolist()}).encode()
+        return resp
+
+
+class TestRemoteBuildBatches:
+    ENDPOINT = "http://embed.invalid/v1"
+
+    def test_one_request_per_question_run_and_the_same_store(self, tmp_path):
+        corpus = batch_corpus()
+        responses = list(corpus.split("train"))
+        batched, single = CountingEmbedSession(16), CountingEmbedSession(16)
+        built = build_store(responses, RemoteEmbedder(self.ENDPOINT, 16, session=batched))
+        expected = reference_store(responses, RemoteEmbedder(self.ENDPOINT, 16, session=single))
+        assert [len(texts) for texts in batched.posts] == [9, 7, 3, 12, 1, 2, 8]  # one per run
+        assert [t for texts in batched.posts for t in texts] == [r.text for r in responses]
+        assert len(single.posts) == len(responses)
+        assert saved(built, tmp_path / "built") == saved(expected, tmp_path / "expected")
+
+    def test_failed_batch_names_its_first_response(self):
+        corpus = batch_corpus()
+        responses = list(corpus.split("train"))
+        q1 = [r for r in responses if r.question_id == "q1"]
+        session = CountingEmbedSession(16, failing=[q1[2].text])
+        embedder = RemoteEmbedder(self.ENDPOINT, 16, session=session)
+        with pytest.raises(StoreError, match=rf"^embedding failed for response '{q1[0].id}': .*503"):
+            build_store(responses, embedder)
+        assert len(session.posts) == 2  # q0's batch, then q1's
 
 
 class TestOneCopyOfEachVector:
