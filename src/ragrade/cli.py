@@ -62,8 +62,7 @@ _RUNTIME_ERRORS = (
 
 
 class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A usage problem; the command exits with EXIT_USAGE."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,10 +96,6 @@ def _add_common_eval_args(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s.strip())
-
-
 def _experiment_config(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json(args.config)
@@ -112,7 +107,7 @@ def _experiment_config(args) -> ExperimentConfig:
         "backend": args.backend,
         "k": args.k,
         "template_style": args.template_style,
-        "seeds": list(_parse_seeds(args.seeds)) if args.seeds else None,
+        "seeds": [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None,
         "embed_dim": args.dim,
         "train_adapter": args.train,
         "rag_fraction": getattr(args, "fraction", None),

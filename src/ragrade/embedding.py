@@ -206,10 +206,6 @@ class Adapter:
     weights: np.ndarray
     trained_on: dict = field(default_factory=dict)
 
-    @classmethod
-    def identity(cls, dim: int) -> "Adapter":
-        return cls(weights=np.eye(dim, dtype=np.float64))
-
     @property
     def dim(self) -> int:
         return self.weights.shape[0]

@@ -218,12 +218,6 @@ class RemoteBackend(GlmBackend):
     def concurrency(self) -> int:
         return self.limiter.max_in_flight
 
-    def _post(self, payload, headers):
-        import requests
-
-        poster = self._session.post if self._session is not None else requests.post
-        return poster(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-
     def complete(self, prompt: str, params: GenParams) -> str:
         import requests
 
@@ -236,6 +230,7 @@ class RemoteBackend(GlmBackend):
         headers = {"content-type": "application/json"}
         if self.api_key:
             headers["authorization"] = f"Bearer {self.api_key}"
+        post = self._session.post if self._session is not None else requests.post
 
         last_failure, retry_after = None, 0.0
         for attempt in range(1, self.max_attempts + 1):
@@ -244,7 +239,7 @@ class RemoteBackend(GlmBackend):
                 self._sleep(max(backoff, retry_after))
             try:
                 with self.limiter:
-                    resp = self._post(payload, headers)
+                    resp = post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_failure, retry_after = f"transport error: {exc}", 0.0
                 continue

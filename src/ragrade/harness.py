@@ -96,6 +96,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"fallback label {self.fallback_label!r} not in scheme {self.scheme.value}"
             )
+        self.gen_params()  # GenParams' own checks, before any set-up
 
     def gen_params(self) -> GenParams:
         return GenParams(
@@ -321,7 +322,7 @@ def _mean_reports(
             **summarize(cm),
             "parse_failures": cm.parse_failures,
             "backend_failures": outcome.backend_failures,
-            "per_class": [s.as_dict() for s in per_class_stats(cm)],
+            "per_class": [dataclasses.asdict(s) for s in per_class_stats(cm)],
         }
         row.update(extra)
         per_run.append(row)
@@ -366,7 +367,8 @@ def seed_grader(
     rag-fraction run (rag) retrieves corpus-wide, and uq/ud grade
     without examples.  A grader that retrieves examples trains the
     adapters not passed in for this seed when config.train_adapter is
-    set, and builds a store not passed in with this seed's embedder.
+    set, and builds a store not passed in with this seed's embedder; a
+    store passed in must have been built by an embedder of the same id.
     """
     with_examples = scenario == "ua" or rag
     template = load_template(
@@ -384,7 +386,12 @@ def seed_grader(
             adapters = {qid: res.adapter for qid, res in results.items()}
     embedder = base if adapters is None else AdaptedEmbedder(base, adapters)
     if with_examples and store is None:
-        store = build_store(list(corpus.split("train")), embedder, corpus.questions)
+        store = build_store(list(corpus.split("train")), embedder)
+    elif with_examples and store.embedder_id != embedder.embedder_id:
+        raise HarnessError(
+            f"the store was built with embedder {store.embedder_id!r} "
+            f"but this run embeds with {embedder.embedder_id!r}"
+        )
     return Grader(
         questions=corpus.questions,
         scheme=config.scheme,
@@ -412,22 +419,25 @@ def run_scenario(
 
     ua grades with retrieved examples against the train-split store
     (same-question candidates); uq and ud grade without examples.  With
-    config.rag_fraction set, a uq/ud run is the rag-fraction experiment:
-    each seed samples floor(fraction * |split|) responses uniformly and
-    adds them to the store with their gold judgments, and the remainder
-    is graded with examples over corpus-wide candidates; the adapter is
-    never retrained on the moved fraction.  Any artifact not passed in
-    is built on demand, once per seed, except that a rag-fraction store
-    no trained adapter ties to a seed is built once, and the base
-    embedder, whose token memo every seed then shares, once per run.
+    config.rag_fraction set, which a ua run rejects, a uq/ud run is the
+    rag-fraction experiment: each seed samples floor(fraction * |split|)
+    responses uniformly and adds them to the store with their gold
+    judgments, and the remainder is graded with examples over
+    corpus-wide candidates; the adapter is never retrained on the moved
+    fraction.  Any artifact not passed in is built on demand, once per
+    seed, except that a rag-fraction store no trained adapter ties to a
+    seed is built once, and the base embedder, whose token memo every
+    seed then shares, once per run.
     """
     scenario = scenario.lower()
     if scenario not in SCENARIOS:
         raise HarnessError(f"unknown scenario {scenario!r}")
+    rag = config.rag_fraction is not None
+    if rag and scenario == "ua":
+        raise HarnessError("rag-fraction experiments run on the uq or ud scenario")
     responses = list(corpus.split(scenario))
     if not responses:
         raise HarnessError(f"corpus has no {scenario} split")
-    rag = config.rag_fraction is not None and scenario != "ua"
     backend = backend or make_backend(config.backend)
     base = base or HashEmbedder(config.embed_dim)
 
@@ -478,8 +488,6 @@ def rag_fraction_experiment(
     store: VectorStore | None = None,
 ) -> EvalReport:
     """run_scenario on a uq or ud split with config.rag_fraction set to fraction."""
-    if scenario.lower() not in ("uq", "ud"):
-        raise HarnessError("rag-fraction experiments run on the uq or ud scenario")
     if not (0.0 < fraction < 1.0):
         raise HarnessError("fraction must lie strictly between 0 and 1")
     return run_scenario(

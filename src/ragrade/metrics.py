@@ -68,15 +68,6 @@ class ClassStats:
     f1: float
     support: int
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
-
 
 def per_class_stats(cm: ConfusionMatrix) -> list[ClassStats]:
     """Precision/recall/F1/support for every label in the matrix."""
@@ -107,13 +98,9 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts) / cm.total)
 
 
-def _present(cm: ConfusionMatrix) -> np.ndarray:
-    return (cm.gold_support() + cm.predicted_support()) > 0
-
-
 def macro_f1(cm: ConfusionMatrix) -> float:
     """Unweighted mean of per-class F1 over classes present in gold or predictions."""
-    present = _present(cm)
+    present = (cm.gold_support() + cm.predicted_support()) > 0
     if not np.any(present):
         raise MetricsError("empty confusion matrix")
     stats = per_class_stats(cm)

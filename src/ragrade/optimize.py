@@ -46,7 +46,6 @@ class OptimizerConfig:
 class Candidate:
     template: PromptTemplate
     step: int
-    order: int  # insertion counter; earlier wins score ties
     parent_sha: str | None = None
     score: float | None = None
 
@@ -192,8 +191,7 @@ def optimize(
     at step 0.  The best retained score is non-decreasing by
     construction.  A step whose proposals are all invalid is a no-op.
     """
-    counter = 0
-    draft_candidate = Candidate(template=draft, step=0, order=counter)
+    draft_candidate = Candidate(template=draft, step=0)
     draft_candidate.score = evaluator.score(draft)
     retained = [draft_candidate]
     history = [draft_candidate]
@@ -205,18 +203,14 @@ def optimize(
         )
         new_candidates = []
         for template in bodies:
-            counter += 1
-            candidate = Candidate(
-                template=template,
-                step=step,
-                order=counter,
-                parent_sha=retained[0].sha,
-            )
+            candidate = Candidate(template=template, step=step, parent_sha=retained[0].sha)
             candidate.score = evaluator.score(template)
             new_candidates.append(candidate)
         history.extend(new_candidates)
         pool = retained + new_candidates
-        pool.sort(key=lambda c: (-c.score, c.order))
+        # retained is in rank order and new candidates follow in proposal order,
+        # so a stable sort on score alone lets the earlier insertion win ties
+        pool.sort(key=lambda c: -c.score)
         retained = pool[: config.beam]
         best_trace.append(retained[0].score)
 

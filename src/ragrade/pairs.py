@@ -163,22 +163,14 @@ def balance(pairs: list[Pair], seed: int) -> list[Pair]:
     return [p for i, p in enumerate(pairs) if i in keep]
 
 
-DEFAULT_TRIPLET_CAP = None  # per-anchor cap; None derives max(1, peers // 2)
-
-
-def build_triplets(
-    responses: list[Response],
-    scheme: Scheme,
-    seed: int,
-    per_anchor_cap: int | None = DEFAULT_TRIPLET_CAP,
-) -> list[Triplet]:
+def build_triplets(responses: list[Response], scheme: Scheme, seed: int) -> list[Triplet]:
     """Round-robin triplets over responses to a single question.
 
     Each response anchors in turn; same-category peers and other-category
     responses are shuffled once per anchor and cycled.  Anchors without a
     peer or without a negative are skipped.  The per-anchor count is
-    capped at max(1, peers // 2) unless overridden, which also guarantees
-    no duplicate triplets.
+    capped at max(1, peers // 2), which also guarantees no duplicate
+    triplets.
     """
     qids = {r.question_id for r in responses}
     if len(qids) > 1:
@@ -193,9 +185,7 @@ def build_triplets(
             continue
         peers = [peers[i] for i in rng.permutation(len(peers))]
         others = [others[i] for i in rng.permutation(len(others))]
-        cap = per_anchor_cap if per_anchor_cap is not None else max(1, len(peers) // 2)
-        count = min(cap, len(peers) * len(others))
-        for i in range(count):
+        for i in range(min(max(1, len(peers) // 2), len(peers) * len(others))):
             triplets.append(
                 Triplet(
                     anchor_id=anchor.id,
@@ -253,25 +243,21 @@ def build_training_sets(
     strategy: Strategy,
     scope: Scope,
     seed: int,
-    split: str = "train",
-    per_anchor_cap: int | None = DEFAULT_TRIPLET_CAP,
 ) -> TrainingSets:
-    """Mine, label, and balance pair sets (and triplet sets) per question.
+    """Mine, label, and balance train-split pair sets (and triplet sets) per question.
 
     Balancing happens before any merging, so the global set is exactly
     the union of the per-question balanced sets.  Per-question seeds are
     derived from the base seed and the question id.
     """
-    by_id = {r.id: r for r in corpus.split(split)}
+    by_id = {r.id: r for r in corpus.split("train")}
     pair_sets: dict[str, list[Pair]] = {}
     triplet_sets: dict[str, list[Triplet]] = {}
-    for qid, responses in corpus.by_question(split).items():
+    for qid, responses in corpus.by_question("train").items():
         qseed = derive_seed(seed, qid)
         labeled = label_pairs(enumerate_pairs(responses), by_id, scheme, strategy)
         pair_sets[qid] = balance(labeled, qseed)
-        triplet_sets[qid] = build_triplets(
-            responses, scheme, derive_seed(seed, qid, "triplets"), per_anchor_cap
-        )
+        triplet_sets[qid] = build_triplets(responses, scheme, derive_seed(seed, qid, "triplets"))
     return TrainingSets(
         scheme=scheme,
         strategy=strategy,

@@ -78,19 +78,15 @@ def _template_dir():
     return resources.files("ragrade") / "templates"
 
 
-def _load_index() -> list[dict]:
+def available_templates() -> list[dict]:
+    """Index rows of all bundled templates."""
     with (_template_dir() / "index.json").open(encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def available_templates() -> list[dict]:
-    """Index rows of all bundled templates."""
-    return _load_index()
-
-
 def load_template(task: str, scenario: str, style: str = "cpg") -> PromptTemplate:
     """Load a bundled template, verifying its recorded checksum."""
-    for row in _load_index():
+    for row in available_templates():
         if (row["task"], row["scenario"], row["style"]) == (task, scenario, style):
             body = (_template_dir() / row["path"]).read_text(encoding="utf-8")
             digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -109,19 +105,16 @@ def load_critic_meta_prompt() -> str:
     return (_template_dir() / "critic_rewrite.txt").read_text(encoding="utf-8")
 
 
-def format_examples(retrieved: list[tuple], scheme: Scheme | None = None) -> str:
+def format_examples(retrieved: list[tuple], scheme: Scheme) -> str:
     """Render retrieved (entry, score) pairs as numbered example blocks.
 
     Rank order is preserved.  Each block is three lines (Example i: /
-    Answer: / Judgment:) and blocks are separated by a blank line.  When
-    a scheme is given, stored five-way judgments are collapsed to its
-    vocabulary.
+    Answer: / Judgment:) and blocks are separated by a blank line.
+    Stored five-way judgments are collapsed to the scheme's vocabulary.
     """
     blocks = []
     for i, (entry, _score) in enumerate(retrieved, start=1):
-        judgment = entry.metadata["judgment"]
-        if scheme is not None:
-            judgment = collapse_label(Label.parse(judgment), scheme)
+        judgment = collapse_label(Label.parse(entry.metadata["judgment"]), scheme)
         text = entry.metadata["response_text"]
         blocks.append(f"Example {i}:\nAnswer: {text}\nJudgment: {judgment}\n")
     return "\n".join(blocks)

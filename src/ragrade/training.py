@@ -315,7 +315,6 @@ def train_for_corpus(
     corpus: Corpus,
     sets: TrainingSets,
     base: BaseEmbedder,
-    split: str = "train",
 ) -> dict[str, TrainResult]:
     """Train per the sets' scope: one adapter per question, or one global.
 
@@ -326,7 +325,7 @@ def train_for_corpus(
     are skipped.  The TrainingError of the first failing question in
     question order is raised with its id.
     """
-    texts_by_id = {r.id: r.text for r in corpus.split(split)}
+    texts_by_id = {r.id: r.text for r in corpus.split("train")}
     triplet_mode = config.loss is LossKind.TRIPLET
     if sets.scope is Scope.GLOBAL:
         examples = sets.merged_triplets() if triplet_mode else sets.merged_pairs()

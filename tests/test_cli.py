@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ragrade.cli
@@ -319,7 +320,7 @@ class TestTrainAndStoreArtifacts:
         adapters = tmp_path / "adapters"
         adapters.mkdir()
         for name in files:
-            Adapter.identity(48).save(adapters / f"{name}.adapter")
+            Adapter(np.eye(48)).save(adapters / f"{name}.adapter")
         build = ["build-vdb", "--corpus", corpus_arg, "--dim", "48", "--adapter", str(adapters)]
         assert cli(build + ["--out", str(tmp_path / "train.vdb")]) == EXIT_RUNTIME
         assert f"{adapters}: {message}" in capsys.readouterr().err
@@ -348,6 +349,35 @@ class TestEvaluate:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "UA" in out
+
+    @pytest.mark.parametrize(
+        "build, evaluate, store_id, run_id",
+        [
+            (["--dim", "64"], [], "hash-64", "hash-384"),
+            (["--dim", "64", "--adapter", "ADAPTERS"], ["--dim", "64"], "routed(hash-64)", "hash-64"),
+        ],
+        ids=["other-dim", "adapter-at-build-only"],
+    )
+    def test_store_of_another_embedder_is_refused(
+        self, corpus_arg, tmp_path, capsys, build, evaluate, store_id, run_id
+    ):
+        adapters = tmp_path / "adapters"
+        adapters.mkdir()
+        for qid in ("q1", "q2", "q3", "q4"):
+            Adapter(np.eye(64)).save(adapters / f"{qid}.adapter")
+        build = [str(adapters) if arg == "ADAPTERS" else arg for arg in build]
+        store = tmp_path / "train.vdb"
+        assert cli(["build-vdb", "--corpus", corpus_arg, "--out", str(store)] + build) == EXIT_OK
+        evaluate = ["evaluate", "--corpus", corpus_arg, "--store", str(store), "--seeds", "1"] + evaluate
+        assert cli(evaluate) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert repr(store_id) in err and repr(run_id) in err
+
+    def test_rag_fraction_in_config_is_refused_for_ua(self, corpus_arg, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"rag_fraction": 0.4, "seeds": [1]}))
+        assert cli(["evaluate", "--corpus", corpus_arg, "--config", str(config_path)]) == EXIT_RUNTIME
+        assert "rag-fraction experiments run on the uq or ud scenario" in capsys.readouterr().err
 
     def test_runs_seed_mismatch(self, corpus_arg):
         assert (
@@ -409,6 +439,7 @@ class TestEvaluate:
             ('{"scheme": "4way"}', "field 'scheme': unknown scheme"),
             ('[{"k": 3}]', "config must be a JSON object, got list"),
             ('{"k": 0}', "k must be at least 1, got 0"),
+            ('{"temperature": -1}', "temperature must be non-negative"),
             ('{"k": "5"}', "field 'k': expected int, got '5'"),
             ('{"k": true}', "field 'k': expected int, got True"),
             ('{"rag_fraction": "half"}', "field 'rag_fraction': expected float or NoneType or int"),

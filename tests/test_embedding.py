@@ -265,7 +265,7 @@ class TestCosine:
 class TestAdapter:
     def test_identity_keeps_base_embedding(self):
         base = HashEmbedder(32)
-        adapter = Adapter.identity(32)
+        adapter = Adapter(np.eye(32))
         vec = base.embed("some words")
         np.testing.assert_allclose(adapter_embed(adapter, base, "some words"), vec, atol=1e-12)
 
@@ -305,7 +305,7 @@ class TestAdapter:
         assert again.trained_on == {"loss": "triplet"}
 
     def test_truncated_payload_rejected(self, tmp_path):
-        adapter = Adapter.identity(8)
+        adapter = Adapter(np.eye(8))
         path = tmp_path / "w.adapter"
         adapter.save(path)
         data = path.read_bytes()
@@ -372,8 +372,8 @@ class TestAdapter:
 
     def test_adapted_embedder_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
-            AdaptedEmbedder(HashEmbedder(16), Adapter.identity(8))
-        adapters = {"q1": Adapter.identity(16), "q2": Adapter.identity(8)}
+            AdaptedEmbedder(HashEmbedder(16), Adapter(np.eye(8)))
+        adapters = {"q1": Adapter(np.eye(16)), "q2": Adapter(np.eye(8))}
         with pytest.raises(ValueError, match="question 'q2' has dim 8"):
             AdaptedEmbedder(HashEmbedder(16), adapters)
 

@@ -83,14 +83,14 @@ class RecordingBackend(GlmBackend):
 class TestPropose:
     def test_draft_verbatim_roundtrip(self):
         critic = ScriptedBackend([wrap(DRAFT.body)])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0, order=0)], 1, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1, PARAMS)
         assert len(proposals) == 1
         assert proposals[0].body == DRAFT.body
 
     def test_invalid_body_rerequested(self):
         bad = "Missing the answer slot {{QUESTION}} {{REFERENCE_ANSWER}}"
         critic = ScriptedBackend([wrap(bad), wrap(variant_body("ok"))])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0, order=0)], 1, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1, PARAMS)
         assert critic.calls == 2
         assert len(proposals) == 1
         assert "variant ok" in proposals[0].body
@@ -98,14 +98,14 @@ class TestPropose:
     def test_gives_up_after_reproposals(self):
         critic = ScriptedBackend([wrap("nothing here")])
         proposals = propose(
-            critic, [Candidate(template=DRAFT, step=0, order=0)], 2, PARAMS, max_reproposals=3
+            critic, [Candidate(template=DRAFT, step=0)], 2, PARAMS, max_reproposals=3
         )
         assert proposals == []
         assert critic.calls == 6  # 3 attempts per requested candidate
 
     def test_multiple_distinct_candidates(self):
         critic = ScriptedBackend([wrap(variant_body("a")), wrap(variant_body("b"))])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0, order=0)], 2, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 2, PARAMS)
         assert len(proposals) == 2
         assert proposals[0].body != proposals[1].body
 
@@ -113,7 +113,7 @@ class TestPropose:
         # adding an examples slot to a no-examples parent is invalid
         extra = variant_body("x") + "\n{{EXAMPLES}}"
         critic = ScriptedBackend([wrap(extra)])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0, order=0)], 1, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1, PARAMS)
         assert proposals == []
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestBalance:
         assert sum(p.label for p in out) == 10
 
 
-def brute_force_triplets(responses, scheme, seed, cap=None):
+def brute_force_triplets(responses, scheme, seed):
     """Independent re-statement of the cycling rule, list-based."""
     rng = np.random.default_rng(seed)
     cat = {r.id: collapse_label(r.label, scheme) for r in responses}
@@ -196,8 +197,7 @@ def brute_force_triplets(responses, scheme, seed, cap=None):
             continue
         peers = [peers[i] for i in rng.permutation(len(peers))]
         others = [others[i] for i in rng.permutation(len(others))]
-        limit = cap if cap is not None else max(1, len(peers) // 2)
-        for i in range(min(limit, len(peers) * len(others))):
+        for i in range(min(max(1, len(peers) // 2), len(peers) * len(others))):
             out.append(
                 (anchor.id, peers[i % len(peers)].id, others[i % len(others)].id, anchor.question_id)
             )
@@ -259,11 +259,25 @@ class TestTriplets:
                 assert collapse_label(by_id[t.negative_id].label, scheme) != anchor_cat
                 assert len({t.anchor_id, t.positive_id, t.negative_id}) == 3
 
-    def test_cap_override(self):
-        labels = [Label.CORRECT] * 8 + [Label.CONTRADICTORY] * 2
-        responses = responses_for(10, labels=labels)
-        capped = build_triplets(responses, Scheme.TWO_WAY, seed=0, per_anchor_cap=1)
-        assert len(capped) == 10  # every anchor contributes exactly one
+    def test_per_anchor_count_at_scientsbank_scale(self):
+        """135 questions of 36 answers, labels in SciEntsBank's train mix:
+        each anchor with a peer and a negative gets min(max(1, peers // 2),
+        peers * others) triplets, and no triplet repeats."""
+        rng = np.random.default_rng(11)
+        labels = list(Label)
+        for q in range(135):
+            drawn = rng.choice(len(labels), size=36, p=[0.40, 0.27, 0.11, 0.21, 0.01])
+            responses = responses_for(36, qid=f"q{q:03d}", labels=[labels[i] for i in drawn])
+            for scheme in Scheme:
+                triplets = build_triplets(responses, scheme, seed=q)
+                assert len(set(triplets)) == len(triplets)
+                per_anchor = Counter(t.anchor_id for t in triplets)
+                category = Counter(collapse_label(r.label, scheme) for r in responses)
+                for r in responses:
+                    peers = category[collapse_label(r.label, scheme)] - 1
+                    others = len(responses) - 1 - peers
+                    expected = min(max(1, peers // 2), peers * others) if peers and others else 0
+                    assert per_anchor[r.id] == expected
 
     def test_deterministic_under_seed(self):
         labels = [Label.CORRECT] * 6 + [Label.IRRELEVANT] * 4

@@ -89,10 +89,10 @@ class TestLoadTemplate:
 
 class TestFormatExamples:
     def test_empty(self):
-        assert format_examples([]) == ""
+        assert format_examples([], Scheme.FIVE_WAY) == ""
 
     def test_single_entry_exact(self):
-        out = format_examples([(unit_entry("x", "correct"), 0.9)])
+        out = format_examples([(unit_entry("x", "correct"), 0.9)], Scheme.FIVE_WAY)
         assert out == "Example 1:\nAnswer: x\nJudgment: correct\n"
 
     def test_rank_order_preserved(self):
@@ -101,7 +101,8 @@ class TestFormatExamples:
                 (unit_entry("first", "correct"), 0.9),
                 (unit_entry("second", "irrelevant"), 0.8),
                 (unit_entry("third", "contradictory"), 0.7),
-            ]
+            ],
+            Scheme.FIVE_WAY,
         )
         assert out.index("Example 1") < out.index("Example 2") < out.index("Example 3")
         assert "Answer: first" in out.split("Example 2")[0]
@@ -109,7 +110,7 @@ class TestFormatExamples:
     def test_line_count(self):
         for n in (1, 2, 5):
             entries = [(unit_entry(f"t{i}", "correct"), 0.5) for i in range(n)]
-            lines = format_examples(entries).split("\n")
+            lines = format_examples(entries, Scheme.FIVE_WAY).split("\n")
             # 3 content lines per block, one blank separator between blocks,
             # plus the trailing newline of the last block
             assert len(lines) == 3 * n + (n - 1) + 1
@@ -137,7 +138,7 @@ class TestRender:
             new_answer="the new answer",
             question="the question",
             reference_answer="the reference",
-            examples=format_examples([(unit_entry("an answer", "correct"), 1.0)]),
+            examples=format_examples([(unit_entry("an answer", "correct"), 1.0)], Scheme.FIVE_WAY),
         )
 
     def test_new_answer_lands_between_tags(self):
