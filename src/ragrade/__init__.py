@@ -67,7 +67,6 @@ from .pairs import (
     build_training_sets,
     build_triplets,
     enumerate_pairs,
-    pair_label,
 )
 from .prompts import PromptBindings, PromptTemplate, format_examples, load_template, render
 from .training import TrainConfig, TrainResult, train_adapter, train_for_corpus

@@ -27,6 +27,7 @@ from .corpus import (
 from .embedding import DEFAULT_DIM, AdaptedEmbedder, Adapter, EmbeddingError, HashEmbedder
 from .glm import GlmError, make_backend
 from .harness import (
+    SCENARIOS,
     ExperimentConfig,
     HarnessError,
     format_report_table,
@@ -35,9 +36,9 @@ from .harness import (
 )
 from .losses import LossKind
 from .metrics import MetricsError
-from .optimize import OptimizerConfig, OptimizerError, PromptEvaluator, optimize
+from .optimize import METRICS, OptimizerConfig, OptimizerError, PromptEvaluator, optimize
 from .pairs import Scope, Strategy, build_training_sets, write_pairs_jsonl, write_triplets_jsonl
-from .prompts import PromptError
+from .prompts import STYLES, PromptError
 from .training import TrainConfig, TrainingError, train_for_corpus
 from .vstore import StoreError, VectorStore, build_store
 
@@ -85,7 +86,7 @@ def _add_common_eval_args(p: argparse.ArgumentParser):
     p.add_argument("--scheme", default=None, help="5way, 3way, or 2way (default 3way)")
     p.add_argument("--backend", default=None, help="mock, remote, replay:PATH, scripted:PATH")
     p.add_argument("--k", type=int, default=None, help="retrieved examples per query")
-    p.add_argument("--template-style", default=None, choices=("cpg", "dspy"))
+    p.add_argument("--template-style", default=None, choices=STYLES)
     p.add_argument("--seeds", default=None, help="comma-separated run seeds (default 1,2,3)")
     p.add_argument("--runs", type=int, default=None, help="must match the seed count if given")
     p.add_argument("--dim", type=int, default=None, help="base embedding dimension")
@@ -94,6 +95,23 @@ def _add_common_eval_args(p: argparse.ArgumentParser):
     p.add_argument("--train", action="store_true", default=None, help="train adapter(s) before scoring")
     p.add_argument("--config", default=None, help="experiment config JSON (flags override)")
     p.add_argument("--out", default=None, help="write the JSON report here")
+
+
+def _add_mining_args(p: argparse.ArgumentParser):
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--scheme", default=ExperimentConfig.scheme.value)
+    p.add_argument("--strategy", default=ExperimentConfig.strategy.value, choices=[s.value for s in Strategy])
+    p.add_argument("--scope", default=ExperimentConfig.scope.value, help="question or global")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _mined_sets(args):
+    """The corpus and the training sets the mining flags select from it."""
+    corpus = _load_corpus(args.corpus)
+    sets = build_training_sets(
+        corpus, Scheme.parse(args.scheme), Strategy.parse(args.strategy), Scope.parse(args.scope), args.seed
+    )
+    return corpus, sets
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -155,23 +173,15 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
 
     p = sub.add_parser("build-pairs", help="mine balanced pair and triplet training sets")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--scheme", default="3way")
-    p.add_argument("--strategy", default="general", choices=("strict", "general"))
-    p.add_argument("--scope", default="question", help="question or global")
-    p.add_argument("--seed", type=int, default=0)
+    _add_mining_args(p)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("train-embedder", help="fit the embedding adapter(s)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--scheme", default="3way")
-    p.add_argument("--strategy", default="general", choices=("strict", "general"))
-    p.add_argument("--scope", default="question")
+    _add_mining_args(p)
     p.add_argument("--loss", default="cosine_sentence")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--out-dir", required=True)
 
@@ -185,24 +195,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("score", help="grade one split and write predictions JSONL")
     _add_common_eval_args(p)
-    p.add_argument("--scenario", default="ua", choices=("ua", "uq", "ud"))
+    p.add_argument("--scenario", default="ua", choices=SCENARIOS)
 
     p = sub.add_parser("evaluate", help="evaluate a scenario and report metrics")
     _add_common_eval_args(p)
-    p.add_argument("--scenario", default="ua", choices=("ua", "uq", "ud"))
+    p.add_argument("--scenario", default="ua", choices=SCENARIOS)
 
     p = sub.add_parser("rag-fraction", help="move a test fraction into the store, then grade the rest")
     _add_common_eval_args(p)
-    p.add_argument("--scenario", default="uq", choices=("uq", "ud"))
+    p.add_argument("--scenario", default="uq", choices=SCENARIOS[1:])
     p.add_argument("--fraction", type=float, required=True)
 
     p = sub.add_parser("optimize-prompt", help="propose/evaluate/rank template candidates")
     _add_common_eval_args(p)
-    p.add_argument("--scenario", default="ua", choices=("ua", "uq", "ud"))
+    p.add_argument("--scenario", default="ua", choices=SCENARIOS)
     p.add_argument("--critic", required=True, help="critic backend selector (e.g. scripted:FILE)")
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--candidates", type=int, default=4)
-    p.add_argument("--metric", default="accuracy", choices=("accuracy", "macro_f1", "weighted_f1"))
+    p.add_argument("--metric", default="accuracy", choices=tuple(METRICS))
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -233,14 +243,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_build_pairs(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    sets = build_training_sets(
-        corpus,
-        Scheme.parse(args.scheme),
-        Strategy.parse(args.strategy),
-        Scope.parse(args.scope),
-        args.seed,
-    )
+    _, sets = _mined_sets(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_pairs_jsonl(sets.merged_pairs(), out / "pairs.jsonl")
@@ -252,10 +255,7 @@ def _cmd_build_pairs(args) -> int:
 
 
 def _cmd_train_embedder(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    scheme = Scheme.parse(args.scheme)
-    scope = Scope.parse(args.scope)
-    sets = build_training_sets(corpus, scheme, Strategy.parse(args.strategy), scope, args.seed)
+    corpus, sets = _mined_sets(args)
     config = TrainConfig(
         loss=LossKind.parse(args.loss),
         epochs=args.epochs,
@@ -340,8 +340,10 @@ def _cmd_rag_fraction(args) -> int:
 
 
 def _cmd_optimize_prompt(args) -> int:
-    corpus = _load_corpus(args.corpus)
     config = _experiment_config(args)
+    if config.rag_fraction is not None:
+        raise OptimizerError("optimize-prompt does not run rag-fraction experiments; unset rag_fraction")
+    corpus = _load_corpus(args.corpus)
     store = VectorStore.load(args.store) if args.store else None
     grader = seed_grader(
         corpus,

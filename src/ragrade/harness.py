@@ -359,18 +359,18 @@ def seed_grader(
     base: BaseEmbedder | None = None,
     adapters: dict[str, Adapter] | Adapter | None = None,
     store: VectorStore | None = None,
-    rag: bool = False,
 ) -> Grader:
     """One seed's grader for a scenario under config.
 
     ua retrieves same-question examples from the train-split store, a
-    rag-fraction run (rag) retrieves corpus-wide, and uq/ud grade
-    without examples.  A grader that retrieves examples trains the
-    adapters not passed in for this seed when config.train_adapter is
-    set, and builds a store not passed in with this seed's embedder; a
-    store passed in must have been built by an embedder of the same id.
+    rag-fraction run (config.rag_fraction set) retrieves corpus-wide,
+    and uq/ud grade without examples.  A grader that retrieves examples
+    trains the adapters not passed in for this seed when
+    config.train_adapter is set, and builds a store not passed in with
+    this seed's embedder; a store passed in must have been built by an
+    embedder of the same id.
     """
-    with_examples = scenario == "ua" or rag
+    with_examples = scenario == "ua" or config.rag_fraction is not None
     template = load_template(
         scheme_task(config.scheme),
         "with_examples" if with_examples else "without_examples",
@@ -442,7 +442,7 @@ def run_scenario(
     base = base or HashEmbedder(config.embed_dim)
 
     def grader_for(seed: int) -> Grader:
-        return seed_grader(corpus, scenario, config, seed, backend, base, adapters, store, rag)
+        return seed_grader(corpus, scenario, config, seed, backend, base, adapters, store)
 
     # only trained adapters tie a rag-fraction store to a seed; otherwise it is built once
     trains = adapters is None and config.train_adapter

@@ -3,8 +3,8 @@
 A high-temperature critic backend rewrites the current best template; a
 low-temperature task backend scores every candidate on the full dev set.
 Each step keeps the top B of (retained union new), so the best retained
-score can never regress.  Scores are cached by template digest and dev
-set, and the draft is seeded into the retained set so it is never lost.
+score can never regress.  Scores are cached by template digest, and the
+draft is seeded into the retained set so it is never lost.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .glm import GenParams, GlmBackend
@@ -21,6 +21,8 @@ from .metrics import accuracy, macro_f1, weighted_f1
 from .prompts import PromptError, PromptTemplate, load_critic_meta_prompt
 
 METRICS = {"accuracy": accuracy, "macro_f1": macro_f1, "weighted_f1": weighted_f1}
+CRITIC_PARAMS = GenParams(temperature=0.9, max_tokens=2048)
+MAX_REPROPOSALS = 3  # critic requests per proposal before it is skipped
 
 
 class OptimizerError(Exception):
@@ -32,8 +34,6 @@ class OptimizerConfig:
     steps: int = 3  # optimization steps
     beam: int = 4  # candidates proposed per step and retained-set size
     metric: str = "accuracy"
-    critic_params: GenParams = field(default_factory=lambda: GenParams(temperature=0.9, max_tokens=2048))
-    max_reproposals: int = 3
 
     def __post_init__(self):
         if self.steps < 1 or self.beam < 1:
@@ -68,17 +68,11 @@ def _extract_template_body(raw: str) -> str:
     return body
 
 
-def propose(
-    critic: GlmBackend,
-    history: list[Candidate],
-    beam: int,
-    params: GenParams,
-    max_reproposals: int = 3,
-) -> list[PromptTemplate]:
+def propose(critic: GlmBackend, history: list[Candidate], beam: int) -> list[PromptTemplate]:
     """Ask the critic for beam new template bodies based on the history.
 
     A proposal must keep the parent's placeholder set exactly; invalid
-    proposals are re-requested up to max_reproposals times and then
+    proposals are re-requested up to MAX_REPROPOSALS times and then
     skipped, so fewer than beam templates may come back.
     """
     if not history:
@@ -94,8 +88,8 @@ def propose(
     proposals: list[PromptTemplate] = []
     for i in range(beam):
         template = None
-        for _attempt in range(max_reproposals):
-            raw = critic.complete(prompt, params)
+        for _attempt in range(MAX_REPROPOSALS):
+            raw = critic.complete(prompt, CRITIC_PARAMS)
             body = _extract_template_body(raw)
             try:
                 candidate = PromptTemplate(
@@ -120,35 +114,28 @@ class PromptEvaluator:
     """Scores a template by grading the whole dev set with it.
 
     Each score grades with the grader's settings and the template passed
-    to it; the grader's own template is not used.  Results are cached by
-    (template sha256, dev set id); re-evaluating an unchanged candidate
-    never re-queries the backend.
+    to it; the grader's own template is not used.  Scores are cached by
+    template sha256, so re-evaluating an unchanged candidate never
+    re-queries the backend.  dev_set_id is a digest of the dev set.
     """
 
-    def __init__(
-        self, dev_set, grader: Grader, metric: str = "accuracy", dev_set_id: str | None = None
-    ):
+    def __init__(self, dev_set, grader: Grader, metric: str = "accuracy"):
         self.dev_set = list(dev_set)
         self.grader = grader
-        self.metric_name = metric
         self.metric = METRICS[metric]
-        self.dev_set_id = dev_set_id or self._digest_dev_set()
-        self.cache: dict[tuple[str, str], float] = {}
-        self.evaluations = 0  # backend-hitting evaluations, for tests
-
-    def _digest_dev_set(self) -> str:
         h = hashlib.sha256()
         for r in self.dev_set:
             h.update(f"{r.id}\x00{r.text}\x00{r.label.value}\x00".encode("utf-8"))
-        return h.hexdigest()
+        self.dev_set_id = h.hexdigest()
+        self.cache: dict[str, float] = {}
+        self.evaluations = 0  # backend-hitting evaluations, for tests
 
     def score(self, template: PromptTemplate) -> float:
-        key = (template.sha256, self.dev_set_id)
-        if key in self.cache:
-            return self.cache[key]
+        if template.sha256 in self.cache:
+            return self.cache[template.sha256]
         outcome = grade_responses(replace(self.grader, template=template), self.dev_set)
         value = float(self.metric(outcome.confusion(self.grader.scheme)))
-        self.cache[key] = value
+        self.cache[template.sha256] = value
         self.evaluations += 1
         return value
 
@@ -198,9 +185,7 @@ def optimize(
     best_trace = [draft_candidate.score]
 
     for step in range(1, config.steps + 1):
-        bodies = propose(
-            critic, retained, config.beam, config.critic_params, config.max_reproposals
-        )
+        bodies = propose(critic, retained, config.beam)
         new_candidates = []
         for template in bodies:
             candidate = Candidate(template=template, step=step, parent_sha=retained[0].sha)

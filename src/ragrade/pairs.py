@@ -110,38 +110,29 @@ def enumerate_pairs(responses: list[Response]) -> list[Pair]:
     return pairs
 
 
-def pair_label(a: Response, b: Response, scheme: Scheme, strategy: Strategy) -> int:
-    """Binary label of a pair under the scheme's collapsed categories.
-
-    Under 5-way there is no "incorrect" category, so strict labeling
-    privileges only "correct" there.
-    """
-    return _category_pair_label(collapse_label(a.label, scheme), collapse_label(b.label, scheme), strategy)
-
-
-def _category_pair_label(ca: str, cb: str, strategy: Strategy) -> int:
-    if ca != cb:
-        return 0
-    if strategy is Strategy.GENERAL:
-        return 1
-    return 1 if ca in ("correct", "incorrect") else 0
-
-
 def label_pairs(
     pairs: list[Pair],
     by_id: dict[str, Response],
     scheme: Scheme,
     strategy: Strategy,
 ) -> list[Pair]:
-    """`pair_label` of each pair, collapsing each response's label once."""
+    """Label each pair under the scheme's collapsed categories.
+
+    A pair gets 1 when both answers share a category (GENERAL), and under
+    STRICT only when that shared category is correct or incorrect.  Under
+    5-way there is no "incorrect" category, so strict labeling privileges
+    only "correct" there.
+    """
     ids = {i for p in pairs for i in (p.a_id, p.b_id)}
     category = {i: collapse_label(by_id[i].label, scheme) for i in ids}
+    # the categories whose same-category pairs are labeled 1
+    positive = set(category.values()) if strategy is Strategy.GENERAL else {"correct", "incorrect"}
     return [
         Pair(
             a_id=p.a_id,
             b_id=p.b_id,
             question_id=p.question_id,
-            label=_category_pair_label(category[p.a_id], category[p.b_id], strategy),
+            label=int(category[p.a_id] == category[p.b_id] and category[p.a_id] in positive),
         )
         for p in pairs
     ]

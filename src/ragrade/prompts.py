@@ -19,9 +19,7 @@ from importlib import resources
 from .corpus import Label, Scheme, collapse_label
 
 PLACEHOLDERS = ("QUESTION", "REFERENCE_ANSWER", "EXAMPLES", "NEW_ANSWER")
-TASKS = ("SB3", "SB2", "BEETLE5")
 STYLES = ("cpg", "dspy")
-SCENARIOS = ("with_examples", "without_examples")
 
 _PLACEHOLDER_RE = re.compile(r"\{\{([A-Z_]+)\}\}")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ragrade.cli
+import ragrade.glm
 import ragrade.harness
 from ragrade.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
 from ragrade.corpus import Label, Response, parse_jsonl, write_jsonl
@@ -645,3 +646,33 @@ class TestOptimizePrompt:
         assert {p.temperature for p in task.params} == {0.7}
         # every verdict falls back to "correct": 2 of the 4 ua answers are correct
         assert "best score 0.5000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario", ["uq", "ua"])
+    def test_rag_fraction_in_config_is_refused(self, corpus_arg, tmp_path, monkeypatch, capsys, scenario):
+        critic = ragrade.glm.ScriptedBackend(["<template>\nnever asked\n</template>"])
+        real = ragrade.cli.make_backend
+        monkeypatch.setattr(
+            ragrade.cli, "make_backend", lambda spec: critic if spec == "critic" else real(spec)
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"rag_fraction": 0.5, "seeds": [1]}))
+        out = tmp_path / "opt"
+        code = cli(
+            [
+                "optimize-prompt",
+                "--corpus",
+                corpus_arg,
+                "--scenario",
+                scenario,
+                "--config",
+                str(config_path),
+                "--critic",
+                "critic",
+                "--out-dir",
+                str(out),
+            ]
+        )
+        assert code == EXIT_RUNTIME
+        assert "rag_fraction" in capsys.readouterr().err
+        assert critic.calls == 0
+        assert not out.exists()

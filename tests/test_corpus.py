@@ -609,6 +609,18 @@ class TestCorpusInvariants:
         with pytest.raises(CorpusError, match="duplicate"):
             Corpus(name="x", questions=q, splits={"train": (r, r)})
 
+    def test_unknown_split_rejected_at_construction(self):
+        q = {"q": Question(id="q", text="Q?")}
+        r = Response(id="a", question_id="q", text="t", label=Label.CORRECT)
+        with pytest.raises(CorpusError, match="unknown split 'dev'"):
+            Corpus(name="x", questions=q, splits={"dev": (r,)})
+
+    def test_missing_question_rejected_at_construction(self):
+        q = {"q": Question(id="q", text="Q?")}
+        r = Response(id="a", question_id="gone", text="t", label=Label.CORRECT)
+        with pytest.raises(CorpusError, match="response 'a' references unknown question 'gone'"):
+            Corpus(name="x", questions=q, splits={"train": (r,)})
+
     def test_empty_text_rejected(self):
         with pytest.raises(CorpusError, match="empty"):
             Response(id="a", question_id="q", text="   ", label=Label.CORRECT)

@@ -342,6 +342,20 @@ class TestAdapter:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             Adapter.load(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"format": "vector-store", "version": 1, "dim": 2}, "not an adapter file"),
+            ({"format": "embedding-adapter", "version": 2, "dim": 2}, "unsupported adapter version 2"),
+        ],
+        ids=["other-format", "version-2"],
+    )
+    def test_foreign_header_rejected_naming_the_file(self, tmp_path, header, message):
+        path = tmp_path / "other.adapter"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + np.eye(2).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            Adapter.load(path)
+
     def test_routed_embedder_falls_back(self):
         base = HashEmbedder(16)
         rng = np.random.default_rng(0)

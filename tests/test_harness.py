@@ -137,6 +137,14 @@ class TestGradeResponses:
         # mock has no examples to echo: every verdict is "incorrect"
         assert set(outcome.predictions) == {"incorrect"}
 
+    def test_with_examples_needs_a_store(self, tiny_corpus):
+        template = load_template("SB3", "with_examples", "cpg")
+        grader = Grader(
+            tiny_corpus.questions, Scheme.THREE_WAY, template, MockBackend(), embedder=HashEmbedder(64)
+        )
+        with pytest.raises(HarnessError, match="with_examples grading needs a store and an embedder"):
+            grade_responses(grader, list(tiny_corpus.split("ua")))
+
     def test_parse_failures_fall_back_and_count(self, tiny_corpus):
         class Mumbler:
             def complete(self, prompt, params):

@@ -251,6 +251,16 @@ class TestTrainAdapter:
         with pytest.raises(TrainingError, match="triplet"):
             train_adapter(config, pairs, texts, HashEmbedder(8))
 
+    @pytest.mark.parametrize("loss", [LossKind.COSINE_SIMILARITY, LossKind.COSINE_SENTENCE])
+    def test_pair_loss_given_triplets_rejected(self, loss):
+        with pytest.raises(TrainingError, match=f"{loss.value} loss needs a labeled pair set"):
+            train_adapter(TrainConfig(loss=loss), TWO_TRIPLETS, FOUR_TEXTS, HashEmbedder(8))
+
+    def test_pair_label_outside_zero_one_rejected(self):
+        pairs = FOUR_PAIRS[:3] + [replace(FOUR_PAIRS[3], label=2)]
+        with pytest.raises(TrainingError, match="pair labels must be 0 or 1"):
+            train_adapter(TrainConfig(loss=LossKind.COSINE_SIMILARITY), pairs, FOUR_TEXTS, HashEmbedder(8))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         pairs, texts = two_cluster_training_pairs()

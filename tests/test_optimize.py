@@ -5,7 +5,7 @@ import pytest
 from conftest import make_corpus
 from ragrade.corpus import Label, Scheme
 from ragrade.embedding import HashEmbedder
-from ragrade.glm import GenParams, GlmBackend, MockBackend, ScriptedBackend
+from ragrade.glm import GlmBackend, MockBackend, ScriptedBackend
 from ragrade.harness import Grader
 from ragrade.optimize import (
     Candidate,
@@ -16,8 +16,6 @@ from ragrade.optimize import (
 )
 from ragrade.prompts import PromptTemplate, load_template
 from ragrade.vstore import build_store
-
-PARAMS = GenParams(temperature=0.9)
 
 DRAFT = load_template("SB3", "without_examples", "cpg")
 
@@ -83,29 +81,38 @@ class RecordingBackend(GlmBackend):
 class TestPropose:
     def test_draft_verbatim_roundtrip(self):
         critic = ScriptedBackend([wrap(DRAFT.body)])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1)
         assert len(proposals) == 1
         assert proposals[0].body == DRAFT.body
 
     def test_invalid_body_rerequested(self):
         bad = "Missing the answer slot {{QUESTION}} {{REFERENCE_ANSWER}}"
         critic = ScriptedBackend([wrap(bad), wrap(variant_body("ok"))])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1)
         assert critic.calls == 2
         assert len(proposals) == 1
         assert "variant ok" in proposals[0].body
 
     def test_gives_up_after_reproposals(self):
         critic = ScriptedBackend([wrap("nothing here")])
-        proposals = propose(
-            critic, [Candidate(template=DRAFT, step=0)], 2, PARAMS, max_reproposals=3
-        )
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 2)
         assert proposals == []
         assert critic.calls == 6  # 3 attempts per requested candidate
 
+    def test_critic_samples_hot_and_long(self):
+        seen = []
+
+        class Critic(GlmBackend):
+            def complete(self, prompt, params):
+                seen.append(params)
+                return wrap(variant_body("hot"))
+
+        propose(Critic(), [Candidate(template=DRAFT, step=0)], 2)
+        assert [(p.temperature, p.max_tokens) for p in seen] == [(0.9, 2048)] * 2
+
     def test_multiple_distinct_candidates(self):
         critic = ScriptedBackend([wrap(variant_body("a")), wrap(variant_body("b"))])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 2, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 2)
         assert len(proposals) == 2
         assert proposals[0].body != proposals[1].body
 
@@ -113,7 +120,7 @@ class TestPropose:
         # adding an examples slot to a no-examples parent is invalid
         extra = variant_body("x") + "\n{{EXAMPLES}}"
         critic = ScriptedBackend([wrap(extra)])
-        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1, PARAMS)
+        proposals = propose(critic, [Candidate(template=DRAFT, step=0)], 1)
         assert proposals == []
 
 

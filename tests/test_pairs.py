@@ -16,7 +16,6 @@ from ragrade.pairs import (
     build_triplets,
     enumerate_pairs,
     label_pairs,
-    pair_label,
     write_pairs_jsonl,
     write_triplets_jsonl,
 )
@@ -74,42 +73,48 @@ def mk(label):
     return Response(id=f"r-{label.value}", question_id="q", text="t", label=label)
 
 
+def label_of_two(a, b, scheme, strategy):
+    """label_pairs on the two-answer list [a, b]: the label of its one pair."""
+    [pair] = label_pairs(enumerate_pairs([a, b]), {a.id: a, b.id: b}, scheme, strategy)
+    return pair.label
+
+
 class TestPairLabel:
     def test_both_correct_any_strategy(self):
         a = mk(Label.CORRECT)
         b = Response(id="x", question_id="q", text="t", label=Label.CORRECT)
         for scheme in Scheme:
             for strategy in Strategy:
-                assert pair_label(a, b, scheme, strategy) == 1
+                assert label_of_two(a, b, scheme, strategy) == 1
 
     def test_both_contradictory_three_way(self):
         a = mk(Label.CONTRADICTORY)
         b = Response(id="x", question_id="q", text="t", label=Label.CONTRADICTORY)
-        assert pair_label(a, b, Scheme.THREE_WAY, Strategy.STRICT) == 0
-        assert pair_label(a, b, Scheme.THREE_WAY, Strategy.GENERAL) == 1
+        assert label_of_two(a, b, Scheme.THREE_WAY, Strategy.STRICT) == 0
+        assert label_of_two(a, b, Scheme.THREE_WAY, Strategy.GENERAL) == 1
 
     def test_cross_category_always_zero(self):
         a = mk(Label.CORRECT)
         b = mk(Label.IRRELEVANT)
         for scheme in Scheme:
             for strategy in Strategy:
-                assert pair_label(a, b, scheme, strategy) == 0
+                assert label_of_two(a, b, scheme, strategy) == 0
 
     def test_both_incorrect_after_collapse(self):
         # irrelevant + non-domain collapse together in 3-way and 2-way
         a = mk(Label.IRRELEVANT)
         b = mk(Label.NON_DOMAIN)
         for scheme in (Scheme.THREE_WAY, Scheme.TWO_WAY):
-            assert pair_label(a, b, scheme, Strategy.STRICT) == 1
-            assert pair_label(a, b, scheme, Strategy.GENERAL) == 1
-        assert pair_label(a, b, Scheme.FIVE_WAY, Strategy.GENERAL) == 0
+            assert label_of_two(a, b, scheme, Strategy.STRICT) == 1
+            assert label_of_two(a, b, scheme, Strategy.GENERAL) == 1
+        assert label_of_two(a, b, Scheme.FIVE_WAY, Strategy.GENERAL) == 0
 
     def test_five_way_strict_privileges_only_correct(self):
         # no "incorrect" category exists before collapse
         a = mk(Label.IRRELEVANT)
         b = Response(id="x", question_id="q", text="t", label=Label.IRRELEVANT)
-        assert pair_label(a, b, Scheme.FIVE_WAY, Strategy.STRICT) == 0
-        assert pair_label(a, b, Scheme.FIVE_WAY, Strategy.GENERAL) == 1
+        assert label_of_two(a, b, Scheme.FIVE_WAY, Strategy.STRICT) == 0
+        assert label_of_two(a, b, Scheme.FIVE_WAY, Strategy.GENERAL) == 1
 
     def test_strict_ones_subset_of_general_ones(self):
         rng = np.random.default_rng(7)
@@ -213,6 +218,12 @@ class TestTriplets:
         assert anchors == {"qr00", "qr01"}
         for t in triplets:
             assert t.negative_id == "qr02"
+
+    def test_mixed_questions_rejected(self):
+        labels = [Label.CORRECT, Label.IRRELEVANT]
+        mixed = responses_for(2, qid="q1", labels=labels) + responses_for(2, qid="q2", labels=labels)
+        with pytest.raises(ValueError, match="multiple questions"):
+            build_triplets(mixed, Scheme.TWO_WAY, seed=0)
 
     def test_single_category_no_triplets(self):
         responses = responses_for(5)

@@ -15,6 +15,7 @@ from ragrade.vstore import (
     StoreError,
     VectorStore,
     build_store,
+    entry_from_response,
     top_k,
 )
 
@@ -146,6 +147,18 @@ class TestBuild:
         routed = AdaptedEmbedder(base, {"q1": Adapter(np.diag([1.0, 0.0]))})
         with pytest.raises(StoreError, match=r"^embedding failed for response 'd': adapter projected"):
             build_store(responses, routed)
+
+    def test_entry_embedding_failure_names_response(self):
+        class Failing(BaseEmbedder):
+            dim = 2
+            embedder_id = "failing"
+
+            def embed(self, text):
+                raise RuntimeError("backend down")
+
+        corpus = make_corpus({"q": "Q?"}, [("moved", "q", "uq", Label.CORRECT, "words")])
+        with pytest.raises(StoreError, match=r"^embedding failed for response 'moved': backend down$"):
+            entry_from_response(corpus.split("uq")[0], Failing())
 
     def test_required_metadata_enforced(self):
         with pytest.raises(StoreError, match="judgment"):
