@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    SPLITS,
     Corpus,
     CorpusError,
     Scheme,
@@ -178,7 +180,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-embedder", help="fit the embedding adapter(s)")
     _add_mining_args(p)
-    p.add_argument("--loss", default="cosine_sentence")
+    p.add_argument("--loss", default=TrainConfig.loss.value)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -210,9 +212,9 @@ def build_parser() -> _Parser:
     _add_common_eval_args(p)
     p.add_argument("--scenario", default="ua", choices=SCENARIOS)
     p.add_argument("--critic", required=True, help="critic backend selector (e.g. scripted:FILE)")
-    p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--candidates", type=int, default=4)
-    p.add_argument("--metric", default="accuracy", choices=tuple(METRICS))
+    p.add_argument("--steps", type=int, default=OptimizerConfig.steps)
+    p.add_argument("--candidates", type=int, default=OptimizerConfig.beam)
+    p.add_argument("--metric", default=OptimizerConfig.metric, choices=tuple(METRICS))
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -227,7 +229,7 @@ def _cmd_ingest(args) -> int:
         corpus = parse_jsonl(args.jsonl, name=args.name)
     write_jsonl(corpus, args.out)
     report = validate_corpus(corpus)
-    print(f"wrote {args.out}: {sum(len(corpus.split(s)) for s in ('train', 'ua', 'uq', 'ud'))} responses")
+    print(f"wrote {args.out}: {sum(len(corpus.split(s)) for s in SPLITS)} responses")
     if not report.ok:
         for v in report.violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -256,6 +258,12 @@ def _cmd_build_pairs(args) -> int:
 
 def _cmd_train_embedder(args) -> int:
     corpus, sets = _mined_sets(args)
+    # a question id must be able to name an adapter file, as it does in
+    # question scope, where "global" names the global adapter instead
+    reserved = ("", "global") if sets.scope is Scope.QUESTION else ("",)
+    for qid in sets.pair_sets:
+        if qid in reserved or qid.startswith(".") or any(c and c in qid for c in ("/", "\0", os.altsep)):
+            raise ValueError(f"question id {qid!r} cannot name an adapter file")
     config = TrainConfig(
         loss=LossKind.parse(args.loss),
         epochs=args.epochs,

@@ -85,15 +85,18 @@ class MockBackend(GlmBackend):
     """Deterministic grader: echo the first example's judgment.
 
     Prompts whose examples block starts with "Example 1:" get that
-    example's judgment back inside <judgment> tags; prompts without
-    examples always get "incorrect".
+    example's judgment back; prompts without examples always get
+    "incorrect".  The verdict comes in the form the prompt's template
+    style parses: after the dspy marker when the prompt holds it, else
+    inside <judgment> tags.
     """
 
     def complete(self, prompt: str, params: GenParams) -> str:
         match = _EXAMPLE1_RE.search(prompt)
-        if match:
-            return f"<judgment>{match.group(1)}</judgment>"
-        return "<judgment>incorrect</judgment>"
+        label = match.group(1) if match else "incorrect"
+        if _DSPY_MARKER in prompt:
+            return f"{_DSPY_MARKER} {label}"
+        return f"<judgment>{label}</judgment>"
 
 
 class ScriptedBackend(GlmBackend):

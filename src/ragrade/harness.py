@@ -68,7 +68,7 @@ class ExperimentConfig:
     strategy: Strategy = Strategy.GENERAL
     scope: Scope = Scope.QUESTION
     loss: LossKind = LossKind.COSINE_SENTENCE
-    k: int = 5
+    k: int = RetrievalConfig.k
     template_style: str = "cpg"
     backend: str = "mock"
     seeds: tuple[int, ...] = (1, 2, 3)
@@ -80,23 +80,22 @@ class ExperimentConfig:
     epochs: int = TrainConfig.epochs
     learning_rate: float = TrainConfig.learning_rate
     batch_size: int = TrainConfig.batch_size
-    temperature: float = 0.0
-    max_tokens: int = 64
-    # None sends $RAGRADE_GLM_MODEL, or "default" when that is unset
-    model_id: str | None = None
+    temperature: float = GenParams.temperature
+    max_tokens: int = GenParams.max_tokens
+    model_id: str | None = GenParams.model_id
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
         if self.rag_fraction is not None and not (0.0 < self.rag_fraction < 1.0):
             raise ValueError("rag_fraction must lie strictly between 0 and 1")
         if self.fallback_label is not None and self.fallback_label not in self.scheme.labels():
             raise ValueError(
                 f"fallback label {self.fallback_label!r} not in scheme {self.scheme.value}"
             )
-        self.gen_params()  # GenParams' own checks, before any set-up
+        RetrievalConfig(self.k)  # the owners' own checks, before any set-up
+        self.gen_params()
+        self.train_config(0)
 
     def gen_params(self) -> GenParams:
         return GenParams(
@@ -188,9 +187,8 @@ class Grader:
     backend: GlmBackend
     embedder: BaseEmbedder | None = None
     store: VectorStore | None = None
-    k: int = 5
-    same_question_only: bool = False
-    params: GenParams | None = None
+    retrieval: RetrievalConfig = RetrievalConfig()
+    params: GenParams = GenParams()
     fallback_label: str | None = None
 
 
@@ -216,16 +214,14 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     with_examples = g.template.scenario == "with_examples"
     if with_examples and (g.store is None or g.embedder is None):
         raise HarnessError("with_examples grading needs a store and an embedder")
-    params = g.params or GenParams()
     fallback_label = g.fallback_label or default_fallback(g.scheme)
-    retrieval = RetrievalConfig(k=g.k, same_question_only=g.same_question_only)
 
     def prompt_for(r: Response) -> str:
         question = g.questions[r.question_id]
         examples = None
         if with_examples:
             try:
-                retrieved = top_k(g.store, r.text, g.embedder, retrieval, question_id=r.question_id)
+                retrieved = top_k(g.store, r.text, g.embedder, g.retrieval, question_id=r.question_id)
             except (EmbeddingError, StoreError) as exc:
                 raise HarnessError(f"response {r.id!r}: {exc}") from exc
             examples = format_examples(retrieved, g.scheme)
@@ -240,7 +236,7 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     def judge(prompt: str) -> tuple[str, type | None]:
         """The verdict, and the type of the failure that made it the fallback."""
         try:
-            raw = g.backend.complete(prompt, params)
+            raw = g.backend.complete(prompt, g.params)
             return parse_judgment(raw, g.scheme, g.template.style).label, None
         except (RetryExhausted, ParseFailure) as exc:
             return fallback_label, type(exc)
@@ -399,8 +395,7 @@ def seed_grader(
         backend=backend,
         embedder=embedder,
         store=store,
-        k=config.k,
-        same_question_only=scenario == "ua",
+        retrieval=RetrievalConfig(config.k, same_question_only=scenario == "ua"),
         params=config.gen_params(),
         fallback_label=config.fallback_label,
     )
@@ -488,8 +483,6 @@ def rag_fraction_experiment(
     store: VectorStore | None = None,
 ) -> EvalReport:
     """run_scenario on a uq or ud split with config.rag_fraction set to fraction."""
-    if not (0.0 < fraction < 1.0):
-        raise HarnessError("fraction must lie strictly between 0 and 1")
     return run_scenario(
         corpus,
         scenario,

@@ -119,7 +119,7 @@ class PromptEvaluator:
     re-queries the backend.  dev_set_id is a digest of the dev set.
     """
 
-    def __init__(self, dev_set, grader: Grader, metric: str = "accuracy"):
+    def __init__(self, dev_set, grader: Grader, metric: str = OptimizerConfig.metric):
         self.dev_set = list(dev_set)
         self.grader = grader
         self.metric = METRICS[metric]

@@ -155,7 +155,7 @@ class RetrievalConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be at least 1")
+            raise ValueError(f"k must be at least 1, got {self.k}")
 
 
 def build_store(

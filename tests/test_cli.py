@@ -327,6 +327,45 @@ class TestTrainAndStoreArtifacts:
         assert f"{adapters}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "train.vdb").exists()
 
+    @pytest.mark.parametrize(
+        "qid, scope, altsep",
+        [
+            ("", "question", None),
+            (".hidden", "question", None),
+            ("..", "question", None),
+            ("../escaped", "question", None),
+            ("a/b", "question", None),
+            ("a\\b", "question", "\\"),
+            ("a\0b", "question", None),
+            ("global", "question", None),
+            ("../escaped", "global", None),
+        ],
+        ids=["empty", "dot", "dotdot", "parent", "slash", "altsep", "nul", "global", "parent-in-global-scope"],
+    )
+    def test_question_id_that_cannot_name_an_adapter_file_is_refused(
+        self, tiny_corpus_path, tmp_path, monkeypatch, capsys, qid, scope, altsep
+    ):
+        monkeypatch.setattr(os, "altsep", altsep)
+        corpus = tmp_path / "work" / "corpus.jsonl"
+        corpus.parent.mkdir()
+        corpus.write_text(tiny_corpus_path.read_text().replace('"q1"', json.dumps(qid)))
+        out = corpus.parent / "adapters"
+        trained = []
+        monkeypatch.setattr(ragrade.cli, "train_for_corpus", lambda *a: trained.append(a))
+        argv = ["train-embedder", "--corpus", str(corpus), "--scope", scope, "--dim", "16"]
+        assert cli(argv + ["--out-dir", str(out)]) == EXIT_RUNTIME
+        assert f"question id {qid!r}" in capsys.readouterr().err
+        assert not trained
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["corpus.jsonl", "work"]
+
+    def test_question_named_global_trains_in_global_scope(self, tiny_corpus_path, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(tiny_corpus_path.read_text().replace('"q1"', '"global"'))
+        out = tmp_path / "adapters"
+        argv = ["train-embedder", "--corpus", str(corpus), "--scope", "global", "--dim", "16"]
+        assert cli(argv + ["--out-dir", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["global.adapter", "manifest.json"]
+
 
 class TestEvaluate:
     def test_smoke(self, corpus_arg, tmp_path, capsys):
@@ -460,6 +499,22 @@ class TestEvaluate:
         assert f"error: {config_path}: " in err
         assert message in err
         assert not trained
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "no-train"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"learning_rate": -1}', "learning_rate must be positive and finite, got -1"),
+            ('{"epochs": -1}', "epochs must be non-negative, got -1"),
+            ('{"batch_size": 0}', "batch_size must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_training_field_exits_2_naming_the_file(self, corpus_arg, tmp_path, capsys, content, message, train):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content)
+        argv = ["evaluate", "--corpus", corpus_arg, "--config", str(config_path)] + ["--train"] * train
+        assert cli(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
 
 
 class TestScore:

@@ -116,8 +116,7 @@ class TestGradeResponses:
             MockBackend(),
             embedder=embedder,
             store=store,
-            k=3,
-            same_question_only=True,
+            retrieval=RetrievalConfig(k=3, same_question_only=True),
         )
         outcome = grade_responses(grader, list(tiny_corpus.split("ua")))
         expected = nearest_neighbor_predictions(
@@ -219,6 +218,15 @@ class TestRunScenario:
         corpus = shifted_corpus()
         report = run_scenario(corpus, "uq", ExperimentConfig(scheme=Scheme.THREE_WAY, seeds=(1,), embed_dim=64))
         assert report.manifest["template"] == "sb3-uqud-cpg"
+
+    @pytest.mark.parametrize("scenario", ["ua", "uq"])
+    def test_mock_grades_dspy_templates_as_it_grades_cpg(self, tiny_corpus, scenario):
+        reports = {
+            style: run_scenario(tiny_corpus, scenario, ExperimentConfig(template_style=style, seeds=(1,)))
+            for style in ("cpg", "dspy")
+        }
+        assert reports["dspy"].per_run[0]["predictions"] == reports["cpg"].per_run[0]["predictions"]
+        assert reports["dspy"].parse_failures == 0
 
     def test_unknown_scenario(self, tiny_corpus):
         with pytest.raises(HarnessError, match="unknown scenario"):
@@ -362,7 +370,7 @@ class TestRagFraction:
     def test_fraction_bounds(self):
         corpus = shifted_corpus()
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(HarnessError, match="fraction"):
+            with pytest.raises(ValueError, match="rag_fraction must lie strictly between 0 and 1"):
                 rag_fraction_experiment(corpus, "uq", bad, CFG)
 
     def test_rejects_ua_scenario(self):

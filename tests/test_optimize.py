@@ -15,7 +15,7 @@ from ragrade.optimize import (
     propose,
 )
 from ragrade.prompts import PromptTemplate, load_template
-from ragrade.vstore import build_store
+from ragrade.vstore import RetrievalConfig, build_store
 
 DRAFT = load_template("SB3", "without_examples", "cpg")
 
@@ -146,8 +146,7 @@ class TestEvaluator:
             MockBackend(),
             embedder=embedder,
             store=store,
-            k=3,
-            same_question_only=True,
+            retrieval=RetrievalConfig(k=3, same_question_only=True),
         )
         evaluator = PromptEvaluator(corpus.split("ua"), grader)
         assert evaluator.score(template) == 1.0
@@ -178,8 +177,7 @@ class TestEvaluator:
             backend,
             embedder=embedder,
             store=build_store(list(corpus.split("train")), embedder),
-            k=2,
-            same_question_only=same_question_only,
+            retrieval=RetrievalConfig(k=2, same_question_only=same_question_only),
         )
         template = load_template("SB3", "with_examples", "cpg")
         PromptEvaluator(corpus.split("ua"), grader).score(template)
