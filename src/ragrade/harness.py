@@ -4,7 +4,9 @@ One test response flows embed -> exact top-k -> prompt render -> backend
 completion -> verdict parse -> confusion tally.  Unseen-answer runs grade
 with retrieved examples; unseen-question/domain runs grade without, unless
 a fraction of the test split is moved into the store first (the
-rag-fraction experiment).  Metrics are averaged over the configured seeds.
+rag-fraction experiment).  Metrics are averaged over the configured seeds,
+which are graded as one stream of prompts: each seed is set up when the
+stream reaches it, while the previous seed's last requests are in flight.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import typing
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -208,18 +211,20 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     time run's, and of the backend errors the first in response order is
     raised; an error in retrieval or rendering is raised when it occurs,
     and a failed retrieval (a query the embedder rejects, or one the
-    store cannot score) as a HarnessError naming the response.
+    store cannot score) as a HarnessError naming the response.  This is
+    the one-run case of the stream run_scenario grades its seeds in.
     """
-    g = grader
-    with_examples = g.template.scenario == "with_examples"
-    if with_examples and (g.store is None or g.embedder is None):
-        raise HarnessError("with_examples grading needs a store and an embedder")
-    fallback_label = g.fallback_label or default_fallback(g.scheme)
+    return _grade_runs([(grader, responses)], grader.backend)[0]
 
-    def prompt_for(r: Response) -> str:
+
+def _grade_runs(runs, backend: GlmBackend) -> list[GradingOutcome]:
+    """grade_responses on each (grader, responses) of runs, drawn as one stream reaches it."""
+    outcomes = []
+
+    def prompt_for(g: Grader, r: Response) -> str:
         question = g.questions[r.question_id]
         examples = None
-        if with_examples:
+        if g.template.scenario == "with_examples":
             try:
                 retrieved = top_k(g.store, r.text, g.embedder, g.retrieval, question_id=r.question_id)
             except (EmbeddingError, StoreError) as exc:
@@ -233,32 +238,40 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
         )
         return render(g.template, bindings)
 
-    def judge(prompt: str) -> tuple[str, type | None]:
-        """The verdict, and the type of the failure that made it the fallback."""
+    def judge(outcome, backend, params, scheme, style, fallback_label, prompt):
+        """outcome, the verdict, and the type of the failure that made it the fallback."""
         try:
-            raw = g.backend.complete(prompt, g.params)
-            return parse_judgment(raw, g.scheme, g.template.style).label, None
+            raw = backend.complete(prompt, params)
+            return outcome, parse_judgment(raw, scheme, style).label, None
         except (RetryExhausted, ParseFailure) as exc:
-            return fallback_label, type(exc)
+            return outcome, fallback_label or default_fallback(scheme), type(exc)
 
-    prompts = map(prompt_for, responses)
-    workers = getattr(g.backend, "concurrency", 1)
-    verdicts = map(judge, prompts) if workers <= 1 else _in_order(judge, prompts, workers)
-    outcome = GradingOutcome(predictions=[], gold=[])
-    # strict: verdicts is read to its end, which shuts a pool down at once
-    for r, (label, failure) in zip(responses, verdicts, strict=True):
+    def calls():
+        for g, responses in runs:
+            if g.template.scenario == "with_examples" and (g.store is None or g.embedder is None):
+                raise HarnessError("with_examples grading needs a store and an embedder")
+            outcome = GradingOutcome(predictions=[], gold=[])
+            outcomes.append(outcome)
+            state = (outcome, g.backend, g.params, g.scheme, g.template.style, g.fallback_label)
+            for r in responses:
+                outcome.gold.append(collapse_label(r.label, g.scheme))
+                yield partial(judge, *state, prompt_for(g, r))
+            del g  # queued tasks never hold the grader: free it before the next run is drawn
+
+    workers = getattr(backend, "concurrency", 1)
+    verdicts = (call() for call in calls()) if workers <= 1 else _in_order(calls(), workers)
+    for outcome, label, failure in verdicts:
         outcome.backend_failures += failure is RetryExhausted
         outcome.parse_failures += failure is ParseFailure
         outcome.predictions.append(label)
-        outcome.gold.append(collapse_label(r.label, g.scheme))
-    return outcome
+    return outcomes
 
 
-def _in_order(task, items, workers: int):
-    """task(item) for each item on a pool of workers, yielded in item order.
+def _in_order(calls, workers: int):
+    """call() for each of calls on a pool of workers, yielded in call order.
 
-    Items are drawn lazily on the calling thread, at most 2 * workers
-    ahead of the result being waited for.  When a task raises, the tasks
+    Calls are drawn lazily on the calling thread, at most 2 * workers
+    ahead of the result being waited for.  When a call raises, the calls
     not yet started are cancelled and the error propagates once the
     running ones finish.
     """
@@ -269,8 +282,8 @@ def _in_order(task, items, workers: int):
     pending = deque()
     pool = ThreadPoolExecutor(workers)
     try:
-        for item in items:
-            pending.append(pool.submit(task, item))
+        for call in calls:
+            pending.append(pool.submit(call))
             if len(pending) >= 2 * workers:
                 yield pending.popleft().result()
         while pending:
@@ -306,12 +319,13 @@ def _mean_reports(
     config: ExperimentConfig,
     corpus: Corpus,
     template: PromptTemplate,
-    run_outcomes: list[tuple[int, GradingOutcome, dict]],
+    extras: list[dict],
+    outcomes: list[GradingOutcome],
     **manifest_extra,
 ) -> EvalReport:
     """Average per-run metrics and per-class stats into one report."""
     per_run = []
-    for seed, outcome, extra in run_outcomes:
+    for seed, extra, outcome in zip(config.seeds, extras, outcomes, strict=True):
         cm = outcome.confusion(config.scheme)
         row = {
             "seed": seed,
@@ -320,7 +334,7 @@ def _mean_reports(
             "backend_failures": outcome.backend_failures,
             "per_class": [dataclasses.asdict(s) for s in per_class_stats(cm)],
         }
-        row.update(extra)
+        row.update(extra, predictions=outcome.predictions)
         per_run.append(row)
     keys = ("acc", "m_f1", "w_f1", "micro_f1")
     metrics = {key: float(np.mean([row[key] for row in per_run])) for key in keys}
@@ -340,7 +354,7 @@ def _mean_reports(
         parse_failures=int(sum(row["parse_failures"] for row in per_run)),
         backend_failures=int(sum(row["backend_failures"] for row in per_run)),
         runs=len(per_run),
-        seeds=[seed for seed, _, _ in run_outcomes],
+        seeds=list(config.seeds),
         manifest=manifest,
         per_run=per_run,
     )
@@ -423,6 +437,14 @@ def run_scenario(
     seed, except that a rag-fraction store no trained adapter ties to a
     seed is built once, and the base embedder, whose token memo every
     seed then shares, once per run.
+
+    The seeds are graded as one stream over one pool, as grade_responses
+    grades one seed: a seed's set-up runs on the calling thread when the
+    stream first asks for its first prompt, overlapping the previous
+    seed's last requests, and the previous seed's grader is freed first.
+    Verdicts are read in (seed, response) order; an error in a seed's
+    set-up is raised when it occurs, and of the backend errors the first
+    in that order is raised.
     """
     scenario = scenario.lower()
     if scenario not in SCENARIOS:
@@ -442,34 +464,38 @@ def run_scenario(
     # only trained adapters tie a rag-fraction store to a seed; otherwise it is built once
     trains = adapters is None and config.train_adapter
     shared = grader_for(config.seeds[0]) if rag and not trains else None
-    run_outcomes, manifest_extra = [], {}
-    for seed in config.seeds:
-        grader = shared or grader_for(seed)
-        graded, extra = responses, {}
-        if rag:
-            rng = np.random.default_rng(seed)
-            n_moved = int(config.rag_fraction * len(responses))
-            moved_idx = set(rng.choice(len(responses), size=n_moved, replace=False).tolist())
-            moved = [r for i, r in enumerate(responses) if i in moved_idx]
-            graded = [r for i, r in enumerate(responses) if i not in moved_idx]
-            manifest_extra = {
-                "rag_fraction": config.rag_fraction,
-                "base_store_entries": len(grader.store),
-            }
-            rows = [entry_from_response(r, grader.embedder) for r in moved]
-            grader = dataclasses.replace(grader, store=grader.store.extended(rows))
-            del rows  # the extended store holds copies until this seed ends
-            extra = {
-                "moved_to_store": len(moved),
-                "scored": len(graded),
-                "moved_ids": [r.id for r in moved],
-            }
-        outcome = grade_responses(grader, graded)
-        extra.update(response_ids=[r.id for r in graded], predictions=outcome.predictions)
-        run_outcomes.append((seed, outcome, extra))
-        template = grader.template
-        del grader  # free this seed's store before the next seed builds one
-    return _mean_reports(scenario, config, corpus, template, run_outcomes, **manifest_extra)
+    extras, manifest_extra, template = [], {}, None
+
+    def runs():
+        nonlocal manifest_extra, template
+        for seed in config.seeds:
+            grader = shared or grader_for(seed)
+            graded, extra = responses, {}
+            if rag:
+                rng = np.random.default_rng(seed)
+                n_moved = int(config.rag_fraction * len(responses))
+                moved_idx = set(rng.choice(len(responses), size=n_moved, replace=False).tolist())
+                moved = [r for i, r in enumerate(responses) if i in moved_idx]
+                graded = [r for i, r in enumerate(responses) if i not in moved_idx]
+                manifest_extra = {
+                    "rag_fraction": config.rag_fraction,
+                    "base_store_entries": len(grader.store),
+                }
+                rows = [entry_from_response(r, grader.embedder) for r in moved]
+                grader = dataclasses.replace(grader, store=grader.store.extended(rows))
+                del rows  # the extended store holds copies until this seed ends
+                extra = {
+                    "moved_to_store": len(moved),
+                    "scored": len(graded),
+                    "moved_ids": [r.id for r in moved],
+                }
+            extras.append({**extra, "response_ids": [r.id for r in graded]})
+            template = grader.template
+            yield grader, graded
+            del grader  # free this seed's store before the next seed builds one
+
+    outcomes = _grade_runs(runs(), backend)
+    return _mean_reports(scenario, config, corpus, template, extras, outcomes, **manifest_extra)
 
 
 def rag_fraction_experiment(

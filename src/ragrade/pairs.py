@@ -125,17 +125,21 @@ def label_pairs(
     """
     ids = {i for p in pairs for i in (p.a_id, p.b_id)}
     category = {i: collapse_label(by_id[i].label, scheme) for i in ids}
-    # the categories whose same-category pairs are labeled 1
-    positive = set(category.values()) if strategy is Strategy.GENERAL else {"correct", "incorrect"}
+    labels = _pair_labels(
+        np.array([category[p.a_id] for p in pairs]), np.array([category[p.b_id] for p in pairs]), strategy
+    )
     return [
-        Pair(
-            a_id=p.a_id,
-            b_id=p.b_id,
-            question_id=p.question_id,
-            label=int(category[p.a_id] == category[p.b_id] and category[p.a_id] in positive),
-        )
-        for p in pairs
+        Pair(a_id=p.a_id, b_id=p.b_id, question_id=p.question_id, label=int(label))
+        for p, label in zip(pairs, labels)
     ]
+
+
+def _pair_labels(first: np.ndarray, second: np.ndarray, strategy: Strategy) -> np.ndarray:
+    """label_pairs' rule on the category pairs (first[i], second[i])."""
+    same = first == second
+    if strategy is Strategy.STRICT:
+        same &= np.isin(first, ("correct", "incorrect"))
+    return same
 
 
 def balance(pairs: list[Pair], seed: int) -> list[Pair]:
@@ -145,13 +149,17 @@ def balance(pairs: list[Pair], seed: int) -> list[Pair]:
     seed.  If there are fewer negatives than positives, all negatives are
     kept and the set stays imbalanced.  Input order is preserved.
     """
-    positives = [i for i, p in enumerate(pairs) if p.label == 1]
-    negatives = [i for i, p in enumerate(pairs) if p.label == 0]
+    return [pairs[i] for i in _balanced(np.array([p.label for p in pairs]), seed)]
+
+
+def _balanced(labels: np.ndarray, seed: int) -> np.ndarray:
+    """The ascending indices balance keeps of pairs with these labels."""
+    positives = np.flatnonzero(labels == 1)
+    negatives = np.flatnonzero(labels == 0)
     rng = np.random.default_rng(seed)
     n_keep = min(len(positives), len(negatives))
-    kept_neg = set(rng.choice(len(negatives), size=n_keep, replace=False).tolist())
-    keep = set(positives) | {negatives[i] for i in kept_neg}
-    return [p for i, p in enumerate(pairs) if i in keep]
+    kept_neg = rng.choice(len(negatives), size=n_keep, replace=False)
+    return np.sort(np.concatenate([positives, negatives[kept_neg]]))
 
 
 def build_triplets(responses: list[Response], scheme: Scheme, seed: int) -> list[Triplet]:
@@ -241,13 +249,17 @@ def build_training_sets(
     the union of the per-question balanced sets.  Per-question seeds are
     derived from the base seed and the question id.
     """
-    by_id = {r.id: r for r in corpus.split("train")}
     pair_sets: dict[str, list[Pair]] = {}
     triplet_sets: dict[str, list[Triplet]] = {}
     for qid, responses in corpus.by_question("train").items():
-        qseed = derive_seed(seed, qid)
-        labeled = label_pairs(enumerate_pairs(responses), by_id, scheme, strategy)
-        pair_sets[qid] = balance(labeled, qseed)
+        # enumerate_pairs' order, labeled and balanced as indices: a Pair only for each kept pair
+        categories = np.array([collapse_label(r.label, scheme) for r in responses])
+        first, second = np.triu_indices(len(responses), 1)
+        labels = _pair_labels(categories[first], categories[second], strategy)
+        pair_sets[qid] = [
+            Pair(responses[first[k]].id, responses[second[k]].id, qid, int(labels[k]))
+            for k in _balanced(labels, derive_seed(seed, qid))
+        ]
         triplet_sets[qid] = build_triplets(responses, scheme, derive_seed(seed, qid, "triplets"))
     return TrainingSets(
         scheme=scheme,

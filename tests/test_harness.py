@@ -527,20 +527,25 @@ class TestBackendFailures:
             run_scenario(tiny_corpus, "ua", CFG, backend=Refuses())
 
 
-def many_corpus(n_questions=3, per_question=10):
-    """30 ua answers, each a train answer of its question plus one word."""
+def many_corpus(n_questions=3, per_question=10, uq_questions=0):
+    """30 ua answers, each a train answer of its question plus one word;
+    uq_questions more questions with per_question uq answers each."""
     words = "amber basalt cobalt dune ember fjord garnet harbor iris jade".split()
     labels = [Label.CORRECT, Label.CONTRADICTORY, Label.IRRELEVANT]
     rows = []
-    for q in range(n_questions):
+    for q in range(n_questions + uq_questions):
         for j in range(per_question):
             text = f"question {q} answer {words[j]} {words[(3 * j + q) % len(words)]}"
+            if q >= n_questions:
+                rows.append((f"s{q}-{j}", f"q{q}", "uq", labels[(j + q) % 3], text))
+                continue
             rows.append((f"t{q}-{j}", f"q{q}", "train", labels[(j + q) % 3], text))
             rows.append((f"u{q}-{j}", f"q{q}", "ua", labels[j % 3], f"{text} indeed"))
+    n = n_questions + uq_questions
     return make_corpus(
-        {f"q{q}": f"Question {q}?" for q in range(n_questions)},
+        {f"q{q}": f"Question {q}?" for q in range(n)},
         rows,
-        references={f"q{q}": [f"reference {q}"] for q in range(n_questions)},
+        references={f"q{q}": [f"reference {q}"] for q in range(n)},
     )
 
 
@@ -723,6 +728,118 @@ class TestPipelinedGrading:
             assert store() is None
         finally:
             gc.enable()
+
+
+class _HeldUntil(_MockModel):
+    """_MockModel whose first post about each held answer first waits for
+    event, for at most 5 s; waits records whether each wait saw it set."""
+
+    def __init__(self, held, event):
+        super().__init__()
+        self.held, self.event, self.waits = set(held), event, []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        text = answer_of(json["prompt"])
+        with self.lock:
+            first = text not in self.arrived
+        if first and text in self.held:
+            self.waits.append(self.event.wait(5))
+        return super().post(url, json=json, headers=headers, timeout=timeout)
+
+
+def _seed_grader_spy(monkeypatch, on_entry=lambda seed: None, on_exit=lambda grader: None):
+    """Wrap harness.seed_grader, which run_scenario calls positionally."""
+    real = ragrade.harness.seed_grader
+
+    def spy(*args):
+        on_entry(args[3])
+        grader = real(*args)
+        on_exit(grader)
+        return grader
+
+    monkeypatch.setattr(ragrade.harness, "seed_grader", spy)
+
+
+SEEDS3 = dataclasses.replace(CFG, seeds=(1, 2, 3))
+
+
+class TestOneStreamPerRun:
+    """run_scenario grades every seed as one stream of prompts over one pool."""
+
+    def test_next_seed_sets_up_while_the_last_requests_are_in_flight(self, monkeypatch):
+        corpus = many_corpus()
+        ua = list(corpus.split("ua"))
+        entered = threading.Event()
+        _seed_grader_spy(monkeypatch, on_entry=lambda seed: seed == 2 and entered.set())
+        session = _HeldUntil({r.text for r in ua[-4:]}, entered)
+        report = run_scenario(corpus, "ua", SEEDS3, backend=remote(session))
+        assert session.waits == [True] * 4  # seed 2's set-up began while they were held
+        assert json.dumps(report.as_dict()) == json.dumps(run_scenario(corpus, "ua", SEEDS3).as_dict())
+
+    @pytest.mark.parametrize("max_in_flight", [1, 4])
+    @pytest.mark.parametrize("kind", ["ua-adapters", "ua-trained", "uq", "uq-rag-fraction"])
+    def test_report_equals_the_inline_mock_run(self, kind, max_in_flight):
+        corpus = many_corpus(uq_questions=2)
+        config = dataclasses.replace(
+            SEEDS3,
+            train_adapter=kind == "ua-trained",
+            epochs=1,
+            rag_fraction=0.5 if kind == "uq-rag-fraction" else None,
+        )
+        adapters = None
+        if kind == "ua-adapters":
+            rng = np.random.default_rng(0)
+            adapters = {
+                qid: Adapter(weights=np.eye(64) + 0.1 * rng.normal(size=(64, 64)))
+                for qid in corpus.questions
+            }
+        scenario = kind.split("-")[0]
+        session = _MockModel()
+        report = run_scenario(
+            corpus, scenario, config, backend=remote(session, max_in_flight), adapters=adapters
+        )
+        inline = run_scenario(corpus, scenario, config, adapters=adapters)
+        assert len(session.arrived) == sum(len(row["predictions"]) for row in report.per_run)
+        assert json.dumps(report.as_dict()) == json.dumps(inline.as_dict())
+
+    def test_auth_error_on_a_seeds_last_answer_stops_the_stream_within_the_window(self):
+        corpus = many_corpus()
+        session = _MockModel(faults={corpus.split("ua")[-1].text: [_FakeResponse(401)]})
+        with pytest.raises(AuthError):
+            run_scenario(corpus, "ua", SEEDS3, backend=remote(session))
+        posts = [session.arrived.count(text) for text in set(session.arrived)]
+        assert max(posts) <= 2  # no seed-3 prompt was posted
+        assert posts.count(2) <= 2 * 4  # nor more seed-2 prompts than the window
+
+    def test_retry_exhausted_on_a_later_seed_costs_that_verdict_only(self):
+        corpus = many_corpus()
+        ua = list(corpus.split("ua"))
+        # the first post about ua[5] is seed 1's, answered; the next three are seed 2's tries
+        session = _MockModel(faults={ua[5].text: [None] + [_FakeResponse(503)] * 3})
+        report = run_scenario(corpus, "ua", SEEDS3, backend=remote(session))
+        inline = run_scenario(corpus, "ua", SEEDS3)
+        assert [row["backend_failures"] for row in report.per_run] == [0, 1, 0]
+        assert report.parse_failures == 0
+        second, expected = report.per_run[1]["predictions"], inline.per_run[1]["predictions"]
+        assert second[5] == "incorrect"  # the scheme's fallback
+        assert second[:5] + second[6:] == expected[:5] + expected[6:]
+        assert report.per_run[0] == inline.per_run[0] and report.per_run[2] == inline.per_run[2]
+
+    def test_finished_seeds_stores_are_freed_before_the_next_set_up_without_gc(self, monkeypatch):
+        stores, dead_at_seed_3 = [], []
+        _seed_grader_spy(
+            monkeypatch,
+            on_entry=lambda seed: seed == 3 and dead_at_seed_3.extend(s() is None for s in stores),
+            on_exit=lambda grader: stores.append(weakref.ref(grader.store)),
+        )
+        corpus = many_corpus()
+        gc.collect()
+        gc.disable()
+        try:
+            run_scenario(corpus, "ua", SEEDS3, backend=remote(_MockModel()))
+        finally:
+            gc.enable()
+        assert dead_at_seed_3 == [True, True]
 
 
 class TestConfig:
