@@ -356,6 +356,33 @@ class TestAdapter:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             Adapter.load(path)
 
+    def test_mutated_files_fail_with_the_module_error(self, tmp_path):
+        """Seeded fuzz: every adapter file that does not load fails with an
+        error that is both EmbeddingError and ValueError."""
+        rng = random.Random(9)
+        path = tmp_path / "w.adapter"
+        Adapter(np.eye(4) + 0.1, trained_on={"loss": "triplet"}).save(path)
+        good = path.read_bytes()
+        failures = 0
+        for _ in range(300):
+            data = bytearray(good)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(data))
+                op = rng.randrange(3)
+                if op == 0:
+                    data[at] = rng.randrange(256)
+                elif op == 1:
+                    del data[at:]
+                else:
+                    data[at:at] = bytes([rng.randrange(256)])
+            path.write_bytes(bytes(data))
+            try:
+                Adapter.load(path)
+            except Exception as exc:
+                assert isinstance(exc, EmbeddingError) and isinstance(exc, ValueError), repr(exc)
+                failures += 1
+        assert failures > 100
+
     def test_routed_embedder_falls_back(self):
         base = HashEmbedder(16)
         rng = np.random.default_rng(0)

@@ -18,6 +18,7 @@ from ragrade.embedding import Adapter, HashEmbedder
 from ragrade.glm import (
     AuthError,
     GenParams,
+    GlmError,
     MockBackend,
     NonRetryableError,
     RateLimiter,
@@ -602,6 +603,37 @@ def _with_retry_after(status, seconds):
     response = _FakeResponse(status)
     response.headers = {"Retry-After": seconds}
     return response
+
+
+class _SampledVerdicts:
+    """Session that samples its verdicts, as a model at temperature 0.7 would:
+    the n-th post of a prompt gets the n-th label of a fixed cycle."""
+
+    LABELS = ("correct", "incorrect", "contradictory")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.posts: dict[str, int] = {}
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            n = self.posts[json["prompt"]] = self.posts.get(json["prompt"], -1) + 1
+        return _FakeResponse(200, f"<judgment>{self.LABELS[n % 3]}</judgment>")
+
+
+class TestReplayOfASampledRun:
+    def test_a_key_with_two_completions_is_refused_naming_both_lines(self, tiny_corpus, tmp_path):
+        log = tmp_path / "log.jsonl"
+        config = ExperimentConfig(scheme=Scheme.THREE_WAY, seeds=(1, 2, 3), k=3, embed_dim=64, temperature=0.7)
+        n = len(tiny_corpus.split("ua"))
+        # one request in flight, so the log's lines come in (seed, response) order
+        run_scenario(tiny_corpus, "ua", config, backend=remote(_SampledVerdicts(), 1, log_path=log))
+        prompts = [json.loads(line)["prompt_sha256"] for line in log.read_text().splitlines()]
+        assert len(prompts) == 3 * n and prompts[:n] == prompts[n : 2 * n]  # the seeds send the same prompts
+        with pytest.raises(GlmError) as caught:
+            ReplayBackend(log)
+        assert str(caught.value).startswith(f"{log}:{n + 1}: ")
+        assert "line 1" in str(caught.value)
 
 
 class TestPipelinedGrading:
