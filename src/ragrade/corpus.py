@@ -354,11 +354,11 @@ def _build_corpus(records, where, name: str) -> Corpus:
         else:
             raise fail(loc, f"unknown kind {kind!r}")
 
-    return Corpus(
-        name=name,
-        questions=questions,
-        splits={s: tuple(rs) for s, rs in responses.items() if rs},
-    )
+    splits = {s: tuple(rs) for s, rs in responses.items() if rs}
+    # every split and id was checked record by record above, so Corpus.__post_init__'s pass is skipped
+    corpus = object.__new__(Corpus)
+    corpus.__dict__.update(name=name, questions=questions, splits=splits)
+    return corpus
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -195,37 +194,56 @@ ADAPTER_FORMAT = "embedding-adapter"
 ADAPTER_VERSION = 1
 
 
-@dataclass
+class AdapterFileError(EmbeddingError, ValueError):
+    """An adapter file that does not load; a ValueError too, for existing callers."""
+
+
 class Adapter:
-    """Trainable square matrix applied to base embeddings.
+    """Trainable square matrix W applied to base embeddings.
 
     Outputs are re-normalized to unit length, so any positive rescaling
-    of the matrix leaves retrieval unchanged.  Starts as the identity.
+    of the matrix leaves retrieval unchanged.  A trained question adapter
+    keeps the factored form training computes, W = a*I + basis @ core @
+    basis.T (a d x m orthonormal basis, an m x m core); a dense one
+    (Adapter(weights), a loaded file) has basis None, core W and a 0.
+    The dense `weights` is formed on each read, not kept.
     """
 
-    weights: np.ndarray
-    trained_on: dict = field(default_factory=dict)
+    def __init__(self, weights=None, trained_on: dict | None = None, *, a=0.0, basis=None, core=None):
+        self.core = np.asarray(weights if core is None else core, dtype=np.float64)
+        self.basis, self.a = basis, float(a)
+        self.trained_on = {} if trained_on is None else trained_on
+        if self.core.ndim != 2 or self.core.shape[0] != self.core.shape[1]:
+            raise ValueError(f"adapter weights must be square, got {self.core.shape}")
+        if not np.all(np.isfinite(self.core)):
+            raise ValueError("adapter weights contain non-finite entries")
 
     @property
     def dim(self) -> int:
-        return self.weights.shape[0]
+        return len(self.core if self.basis is None else self.basis)
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[0] != self.weights.shape[1]:
-            raise ValueError(f"adapter weights must be square, got {self.weights.shape}")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("adapter weights contain non-finite entries")
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense W: basis @ core @ basis.T, then a added along the diagonal."""
+        if self.basis is None:
+            return self.core
+        full = self.basis @ self.core @ self.basis.T
+        full.flat[:: len(full) + 1] += self.a  # as one pass over the diagonal
+        return full
 
     def apply(self, base_vec: np.ndarray) -> np.ndarray:
-        projected = self.weights @ np.asarray(base_vec, dtype=np.float64)
+        vec = np.asarray(base_vec, dtype=np.float64)
+        if self.basis is None:
+            projected = self.core @ vec
+        else:  # two d x m products and one m x m product
+            projected = self.basis @ (self.core @ (vec @ self.basis)) + self.a * vec
         norm = np.linalg.norm(projected)
         if norm == 0.0:
             raise EmbeddingError("adapter projected the embedding to the zero vector")
         return projected / norm
 
     def save(self, path: str | Path) -> None:
-        """JSON header line + row-major float64 little-endian payload."""
+        """JSON header line + row-major float64 little-endian payload of the dense W."""
         header = {
             "format": ADAPTER_FORMAT,
             "version": ADAPTER_VERSION,
@@ -238,22 +256,25 @@ class Adapter:
 
     @classmethod
     def load(cls, path: str | Path) -> "Adapter":
+        """The dense adapter a file holds, or AdapterFileError naming the file."""
         with Path(path).open("rb") as fh:
             try:
                 header = json.loads(fh.readline().decode("utf-8"))
             except ValueError:  # also bad UTF-8
                 header = None
             if not isinstance(header, dict):
-                raise ValueError(f"{path}: adapter header is not a JSON object")
+                raise AdapterFileError(f"{path}: adapter header is not a JSON object")
             if header.get("format") != ADAPTER_FORMAT:
-                raise ValueError(f"{path}: not an adapter file")
+                raise AdapterFileError(f"{path}: not an adapter file")
             if header.get("version") != ADAPTER_VERSION:
-                raise ValueError(f"{path}: unsupported adapter version {header.get('version')}")
+                raise AdapterFileError(f"{path}: unsupported adapter version {header.get('version')}")
             dim = header.get("dim")
             if type(dim) is not int or dim < 1:
-                raise ValueError(f"{path}: adapter header needs an integer dim >= 1, got {dim!r}")
-            weights = read_payload(fh, (dim, dim), "<f8")
-        return cls(weights=weights, trained_on=header.get("trained_on", {}))
+                raise AdapterFileError(f"{path}: adapter header needs an integer dim >= 1, got {dim!r}")
+            try:
+                return cls(read_payload(fh, (dim, dim), "<f8"), header.get("trained_on", {}))
+            except ValueError as exc:  # the payload's length, or a non-finite entry
+                raise AdapterFileError(str(exc)) from None
 
 
 def read_payload(fh, shape: tuple[int, int], dtype: str) -> np.ndarray:

@@ -299,10 +299,13 @@ class ReplayBackend(GlmBackend):
     without a model, temperature or max_tokens counts as made with the
     defaults RemoteBackend would send.  Keys do not depend on the order
     of the log's lines, which is completion order when requests overlap.
+    A key recorded with two different completions (a sampled multi-seed
+    run) is refused, naming both lines; identical repeats are accepted.
     """
 
     def __init__(self, log_path: str | Path):
         self.completions: dict[tuple[str, str, float, int], str] = {}
+        line_of: dict[tuple[str, str, float, int], int] = {}
         with Path(log_path).open("rb") as fh:  # json.loads decodes, inside the try
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -318,9 +321,14 @@ class ReplayBackend(GlmBackend):
                         record.get("temperature", GenParams.temperature),
                         record.get("max_tokens", GenParams.max_tokens),
                     )
-                    self.completions[key] = completion  # TypeError if a field is unhashable
+                    first = line_of.setdefault(key, lineno)  # TypeError if a field is unhashable
                 except (ValueError, KeyError, TypeError) as exc:
                     raise GlmError(f"{log_path}:{lineno}: bad replay record: {exc!r}") from None
+                if self.completions.setdefault(key, completion) != completion:
+                    raise GlmError(
+                        f"{log_path}:{lineno}: completion differs from line {first}'s "
+                        "for the same prompt, model, temperature and max_tokens"
+                    )
 
     def complete(self, prompt: str, params: GenParams) -> str:
         key = (

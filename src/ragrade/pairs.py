@@ -10,8 +10,11 @@ negatives to match.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
+import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,20 +97,14 @@ def derive_seed(base_seed: int, *parts: str) -> int:
 
 def enumerate_pairs(responses: list[Response]) -> list[Pair]:
     """All unordered, unique pairs of responses to one question: n(n-1)/2."""
+    _one_question(responses)
+    return [Pair(a.id, b.id, a.question_id) for a, b in itertools.combinations(responses, 2)]
+
+
+def _one_question(responses: list[Response]) -> None:
     qids = {r.question_id for r in responses}
     if len(qids) > 1:
         raise ValueError(f"responses span multiple questions: {sorted(qids)}")
-    pairs = []
-    for i in range(len(responses)):
-        for j in range(i + 1, len(responses)):
-            pairs.append(
-                Pair(
-                    a_id=responses[i].id,
-                    b_id=responses[j].id,
-                    question_id=responses[i].question_id,
-                )
-            )
-    return pairs
 
 
 def label_pairs(
@@ -171,9 +168,7 @@ def build_triplets(responses: list[Response], scheme: Scheme, seed: int) -> list
     capped at max(1, peers // 2), which also guarantees no duplicate
     triplets.
     """
-    qids = {r.question_id for r in responses}
-    if len(qids) > 1:
-        raise ValueError(f"responses span multiple questions: {sorted(qids)}")
+    _one_question(responses)
     rng = np.random.default_rng(seed)
     categories = {r.id: collapse_label(r.label, scheme) for r in responses}
     triplets = []
@@ -205,7 +200,7 @@ class TrainingSets:
     scope: Scope
     seed: int
     pair_sets: dict[str, list[Pair]]
-    triplet_sets: dict[str, list[Triplet]]
+    triplet_sets: Mapping[str, list[Triplet]]  # build_training_sets' builds a set on first lookup
 
     def merged_pairs(self) -> list[Pair]:
         """Concatenation of per-question balanced sets, in sorted question order."""
@@ -247,52 +242,59 @@ def build_training_sets(
 
     Balancing happens before any merging, so the global set is exactly
     the union of the per-question balanced sets.  Per-question seeds are
-    derived from the base seed and the question id.
+    derived from the base seed and the question id.  A question's triplet
+    set is built when it is first read (`_Triplets`); the seed it is built
+    with does not depend on when that is.
     """
     pair_sets: dict[str, list[Pair]] = {}
-    triplet_sets: dict[str, list[Triplet]] = {}
-    for qid, responses in corpus.by_question("train").items():
+    by_question = corpus.by_question("train")
+    for qid, responses in by_question.items():
         # enumerate_pairs' order, labeled and balanced as indices: a Pair only for each kept pair
         categories = np.array([collapse_label(r.label, scheme) for r in responses])
         first, second = np.triu_indices(len(responses), 1)
         labels = _pair_labels(categories[first], categories[second], strategy)
-        pair_sets[qid] = [
-            Pair(responses[first[k]].id, responses[second[k]].id, qid, int(labels[k]))
-            for k in _balanced(labels, derive_seed(seed, qid))
-        ]
-        triplet_sets[qid] = build_triplets(responses, scheme, derive_seed(seed, qid, "triplets"))
+        keep = _balanced(labels, derive_seed(seed, qid))
+        ids = [r.id for r in responses]
+        kept = zip(first[keep].tolist(), second[keep].tolist(), labels[keep].astype(int).tolist())
+        pair_sets[qid] = [Pair(ids[i], ids[j], qid, label) for i, j, label in kept]
     return TrainingSets(
         scheme=scheme,
         strategy=strategy,
         scope=scope,
         seed=seed,
         pair_sets=pair_sets,
-        triplet_sets=triplet_sets,
+        triplet_sets=_Triplets(by_question, scheme, seed),
     )
+
+
+class _Triplets(Mapping):
+    """Read-only question id -> triplet set, each set built with its derived
+    seed on first lookup, so that training on pairs never builds one."""
+
+    def __init__(self, by_question: dict[str, list[Response]], scheme: Scheme, seed: int):
+        self._by_question = by_question
+        self._build = functools.cache(
+            lambda qid: build_triplets(by_question[qid], scheme, derive_seed(seed, qid, "triplets"))
+        )
+
+    def __getitem__(self, qid: str) -> list[Triplet]:
+        return self._build(qid)
+
+    def __iter__(self):
+        return iter(self._by_question)
+
+    def __len__(self) -> int:
+        return len(self._by_question)
 
 
 def write_pairs_jsonl(pairs: list[Pair], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for p in pairs:
-            fh.write(
-                json.dumps(
-                    {"a": p.a_id, "b": p.b_id, "label": p.label, "qid": p.question_id}
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"a": p.a_id, "b": p.b_id, "label": p.label, "qid": p.question_id}) + "\n")
 
 
 def write_triplets_jsonl(triplets: list[Triplet], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for t in triplets:
-            fh.write(
-                json.dumps(
-                    {
-                        "anchor": t.anchor_id,
-                        "pos": t.positive_id,
-                        "neg": t.negative_id,
-                        "qid": t.question_id,
-                    }
-                )
-                + "\n"
-            )
+            row = {"anchor": t.anchor_id, "pos": t.positive_id, "neg": t.negative_id, "qid": t.question_id}
+            fh.write(json.dumps(row) + "\n")

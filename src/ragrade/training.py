@@ -5,18 +5,16 @@ global gradient-norm clipping; mini-batches are drawn in seeded shuffled
 order, so a fixed seed reproduces the loss trace bitwise.
 
 Descent starts at W = I, every gradient is a sum of row gradients times
-the training set's base embeddings, and clipping and weight decay only
-rescale, so W acts as a scalar a on the complement of the texts' span.
-When a set has n < d distinct texts, the steps run on their n
-coordinates in an orthonormal basis of that span (from the texts' QR
-factorization), where inner products, and so the losses and the
-gradient's norm, are the same as in d dimensions: each step is the
-dense one, `loss, g = <loss>(M, *sides); M -= lr * clip_gradient(g);
-M -= lr * wd * M`, on the n x n matrix M of W on the span, and
-W = a*I + basis @ (M - a*I) @ basis.T is formed once, after the last
-step.  A step costs n x n work instead of d x d, and W differs from the
-dense loop's in rounding only.  With n >= d the basis is the identity
-and M is W itself.
+the set's base embeddings, and clipping and weight decay only rescale,
+so W acts as a scalar a on the complement of the texts' span.  With
+n < d distinct texts, each step is the dense one, `loss, g = <loss>(M,
+*sides); M -= lr * clip_gradient(g); M -= lr * wd * M`, on the n x n
+matrix M of W in an orthonormal basis of the span (from the texts' QR
+factorization), where inner products, losses and the gradient's norm
+are those of d dimensions.  The adapter keeps W factored, as a, the
+basis and core = M - a*I (W = a*I + basis @ core @ basis.T), and never
+forms the d x d matrix; it differs from the dense loop's in rounding
+only.  With n >= d the basis is the identity and M is W itself.
 
 One loop, `_descend`, trains every set, on the calling thread: a stack
 of sets steps in lockstep, each step calling the loss once on the stack
@@ -24,9 +22,7 @@ of every set's next batch, zero-padded to the largest span and to full
 batches under a row mask, then clipping and decaying each set's matrix.
 A single adapter (`train_adapter`, global scope) is a stack of one.
 Question scope stacks its questions by span, one stack per power-of-two
-span bucket, so padding never doubles a question's span.  On 2 vCPUs at
-one BLAS thread, 135 questions of 36 answers train in about 0.8 s per
-seed, against 2-3 s question by question.
+span bucket, so padding never doubles a question's span.
 """
 
 from __future__ import annotations
@@ -94,10 +90,11 @@ class TrainResult:
 
 @dataclass
 class _Examples:
-    """A training set as row indices into one matrix of its distinct texts."""
+    """A training set as row indices into the coordinates of its distinct texts."""
 
     kind: str  # "pairs" or "triplets"
-    emb: np.ndarray  # one base embedding per distinct text id
+    basis: np.ndarray | None  # and x: _coordinates of the base embeddings, one row per text id
+    x: np.ndarray
     rows: np.ndarray  # (sides, examples): the row of each side of each example
     labels: np.ndarray | None  # pair labels; None for triplets
 
@@ -108,7 +105,8 @@ def _embed_examples(
     texts_by_id: dict[str, str],
     base: BaseEmbedder,
 ) -> _Examples:
-    """Check a training set against the loss and embed each distinct text once."""
+    """Check a training set against the loss and embed each distinct text once,
+    keeping only the texts' basis and coordinates."""
     if not examples:
         raise TrainingError("empty training set")
     triplet_mode = config.loss is LossKind.TRIPLET
@@ -132,8 +130,8 @@ def _embed_examples(
     except EmbeddingError as exc:
         raise TrainingError(f"embedding failed: {exc}") from exc
     return _Examples(
-        kind="triplets" if triplet_mode else "pairs",
-        emb=emb,
+        "triplets" if triplet_mode else "pairs",
+        *_coordinates(emb),
         rows=np.array([[row_of[i] for i in ids] for ids in sides], dtype=np.intp).T,
         labels=labels,
     )
@@ -197,15 +195,14 @@ def _descend(
     stack and the others step on.
     """
     lr, wd = config.learning_rate, config.weight_decay
-    coords = [_coordinates(ex.emb) for _, ex in jobs]
     per_epoch = [-(-ex.rows.shape[1] // config.batch_size) for _, ex in jobs]
     steps = [config.epochs * p for p in per_epoch]
     stack = sorted(range(len(jobs)), key=lambda j: -steps[j])  # stable: job order among equals
-    dim = max(x.shape[1] for _, x in coords)
-    height = max(len(x) for _, x in coords) + 1  # every job's block ends in a zero row
+    dim = max(ex.x.shape[1] for _, ex in jobs)
+    height = max(len(ex.x) for _, ex in jobs) + 1  # every job's block ends in a zero row
     points = np.zeros((len(jobs), height, dim))
-    for j, (_, x) in enumerate(coords):
-        points[j, : len(x), : x.shape[1]] = x
+    for j, (_, ex) in enumerate(jobs):
+        points[j, : len(ex.x), : ex.x.shape[1]] = ex.x
     points = points.reshape(-1, dim)
 
     # each step's batch of each job in the stack: rows of `points`, labels and row mask
@@ -217,7 +214,7 @@ def _descend(
         order = _batches(config, seed, ex.rows.shape[1])
         mask[: steps[j], i] = valid = order < ex.rows.shape[1]
         order[~valid] = 0
-        padded = np.where(valid, ex.rows[:, order], len(coords[j][1]))  # (sides, steps, batch_size)
+        padded = np.where(valid, ex.rows[:, order], len(ex.x))  # (sides, steps, batch_size)
         rows[: steps[j], :, i] = j * height + padded.swapaxes(0, 1)
         if ex.labels is not None:
             labels[: steps[j], i] = ex.labels[order]
@@ -262,18 +259,19 @@ def _descend(
     for _ in range(len(trace)):
         a.append(a[-1] - lr * wd * a[-1])
     for i, j in enumerate(stack):
-        (seed, ex), (basis, x), m = jobs[j], coords[j], coords[j][1].shape[1]
-        full = weights[i, :m, :m].copy()
-        if basis is not None:  # W = a*I + basis @ (M - a*I) @ basis.T
-            full = basis @ (full - a[steps[j]] * np.eye(m)) @ basis.T
-            full.flat[:: len(full) + 1] += a[steps[j]]  # as one pass over the diagonal
+        (seed, ex), m = jobs[j], jobs[j][1].x.shape[1]
+        # W = a*I + basis @ (M - a*I) @ basis.T, kept factored: core = M - a*I
+        scale = 0.0 if ex.basis is None else a[steps[j]]
+        core = weights[i, :m, :m] - scale * np.eye(m)
         # the last step's weights are not projected again
-        if not np.isfinite(full).all():
+        if not np.isfinite(core).all():
             outcome[j] = TrainingError(f"non-finite adapter weights {_after(steps[j], per_epoch[j])}")
             continue
         batch_losses = trace[: steps[j], i].tolist()
         adapter = Adapter(
-            weights=full,
+            a=scale,
+            basis=ex.basis,
+            core=core,
             trained_on={
                 "config": dataclasses.replace(config, seed=seed).manifest(),
                 "base_embedder": base.embedder_id,
@@ -345,7 +343,7 @@ def train_for_corpus(
     # is padded to twice its size or more
     buckets: dict[int, list[str]] = {}
     for qid, (_, ex) in jobs.items():
-        buckets.setdefault((min(ex.emb.shape) - 1).bit_length(), []).append(qid)
+        buckets.setdefault((ex.x.shape[1] - 1).bit_length(), []).append(qid)
     for qids in buckets.values():
         outcome.update(zip(qids, _descend(config, [jobs[qid] for qid in qids], base)))
     for qid in source:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -224,6 +225,50 @@ class TestBuildPairs:
         assert manifest["strategy"] == "strict"
         assert manifest["seed"] == 3
         assert manifest["pairs"] > 0
+
+
+# sha256 of the files train-embedder and build-pairs write for tests/fixtures/tiny.jsonl,
+# taken before question adapters were kept factored and triplet sets built on first read
+TRAINED_FILES = {
+    (): {
+        "manifest.json": "5c84733d738db62d2ec5dbf0b4e4626c1dd9724a3baa9b272420daca1943f39c",
+        "q1.adapter": "c699cfad5ceb636bf2ad48657d53a7b67eec3b922e69f1c29f990d0393406fc9",
+        "q2.adapter": "7871327446a071447b60f241899be924885e5b0e11cbf976bb6e14c87c06cb22",
+    },
+    ("--loss", "triplet"): {
+        "manifest.json": "bc94d08c04b4f3c47844bcdcd252a98793c62ebb193b76a3a680ed25997fedf1",
+        "q1.adapter": "2e0468f079d247d9325dea3735692b9a5d2cd5db6cc630c327660ccd8f9b014e",
+        "q2.adapter": "a38f92828a87f11fc043cfc82b44ace3648d7db33cf396537ca2e676520f58e1",
+    },
+    ("--scope", "global"): {
+        "global.adapter": "5002b0d6a49be964fcabad841b8e5d2f2b3996a1c36bd1a5d5055957db8c94b3",
+        "manifest.json": "131f1f527fc65b609bbaba914f8d3f40ce3b691d9ad5a5a9d3f219de52c5f782",
+    },
+}
+PAIR_FILES = {
+    "manifest.json": "c6adae97e7648e26db84d17f7ad076dcc01eed4b2997e409a6adfb8359fefa8e",
+    "pairs.jsonl": "703cc598cf8797e2ae7be184861d978911aefe7362f68403f20aef80fd3af414",
+    "triplets.jsonl": "8d57c71f532c8895d7d3f67e6ea4c5476bf190fbbdfd790aaa83ff80091b694b",
+}
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
+class TestStableFiles:
+    """The files are byte-identical to those of the dense-adapter, eager-triplet code."""
+
+    @pytest.mark.parametrize("extra", list(TRAINED_FILES), ids=["default", "triplet", "global"])
+    def test_train_embedder_files(self, corpus_arg, tmp_path, capsys, extra):
+        out = tmp_path / "adapters"
+        assert cli(["train-embedder", "--corpus", corpus_arg, *extra, "--out-dir", str(out)]) == EXIT_OK
+        assert digests(out) == TRAINED_FILES[extra]
+
+    def test_build_pairs_files(self, corpus_arg, tmp_path, capsys):
+        out = tmp_path / "sets"
+        assert cli(["build-pairs", "--corpus", corpus_arg, "--out-dir", str(out)]) == EXIT_OK
+        assert digests(out) == PAIR_FILES
 
 
 class TestTrainAndStoreArtifacts:

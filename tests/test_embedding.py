@@ -367,13 +367,12 @@ class TestAdapter:
         for _ in range(300):
             data = bytearray(good)
             for _ in range(rng.randint(1, 3)):
-                at = rng.randrange(len(data))
-                op = rng.randrange(3)
-                if op == 0:
-                    data[at] = rng.randrange(256)
-                elif op == 1:
+                at, op = rng.randrange(len(data) + 1), rng.randrange(3)
+                if op == 0:  # replace a byte
+                    data[at : at + 1] = bytes([rng.randrange(256)])
+                elif op == 1:  # truncate
                     del data[at:]
-                else:
+                else:  # insert a byte
                     data[at:at] = bytes([rng.randrange(256)])
             path.write_bytes(bytes(data))
             try:
@@ -382,6 +381,34 @@ class TestAdapter:
                 assert isinstance(exc, EmbeddingError) and isinstance(exc, ValueError), repr(exc)
                 failures += 1
         assert failures > 100
+
+    def test_factored_apply_agrees_with_the_dense_weights(self):
+        """a*x + basis @ (core @ (basis.T @ x)) rounds otherwise than weights @ x:
+        unit outputs within 1e-12 per component (the tolerance in CHANGES.md)."""
+        rng = np.random.default_rng(12)
+        d, m = 384, 36
+        basis, _ = np.linalg.qr(rng.normal(size=(d, m)))
+        adapter = Adapter(a=0.9, basis=basis, core=0.3 * rng.normal(size=(m, m)))
+        weights = adapter.weights
+        assert adapter.dim == d and weights.shape == (d, d)
+        np.testing.assert_array_equal(weights, adapter.weights)  # formed afresh on each read
+        assert weights is not adapter.weights
+        inputs = np.vstack([rng.normal(size=(20, d)), rng.normal(size=(20, m)) @ basis.T])  # in the span too
+        for x in inputs / np.linalg.norm(inputs, axis=1, keepdims=True):
+            dense = weights @ x
+            np.testing.assert_allclose(adapter.apply(x), dense / np.linalg.norm(dense), rtol=0, atol=1e-12)
+
+    def test_factored_weights_are_formed_as_training_formed_them(self, tmp_path):
+        rng = np.random.default_rng(13)
+        basis, _ = np.linalg.qr(rng.normal(size=(32, 5)))
+        core = rng.normal(size=(5, 5))
+        adapter = Adapter(a=0.7, basis=basis, core=core)
+        expected = basis @ core @ basis.T
+        expected.flat[::33] += 0.7
+        assert adapter.weights.tobytes() == expected.tobytes()
+        adapter.save(tmp_path / "w.adapter")
+        again = Adapter.load(tmp_path / "w.adapter")
+        assert again.basis is None and again.weights.tobytes() == expected.tobytes()
 
     def test_routed_embedder_falls_back(self):
         base = HashEmbedder(16)

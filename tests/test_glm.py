@@ -346,6 +346,16 @@ class TestReplayBackend:
             replay.complete("p", PARAMS)
 
 
+    def test_identical_repeats_are_accepted_and_differing_ones_refused(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        record = {"prompt_sha256": prompt_digest("p"), "completion": "done"}
+        other = {"prompt_sha256": prompt_digest("q"), "completion": "other"}
+        log.write_text("".join(json.dumps(r) + "\n" for r in (record, other, record)))
+        assert ReplayBackend(log).complete("p", PARAMS) == "done"
+        log.write_text("".join(json.dumps(r) + "\n" for r in (record, other, {**record, "completion": "undone"})))
+        with pytest.raises(GlmError, match=re.escape(f"{log}:3: completion differs from line 1's")):
+            ReplayBackend(log)
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -992,3 +992,79 @@ class TestInlineTraining:
         assert set(embedded) == wanted
         assert set(embedded.values()) == {1}
         assert {ident for _, ident in spy.calls} == {threading.get_ident()}
+
+
+class TestFactoredQuestionAdapters:
+    """Question adapters stay factored, and training on pairs builds no triplet set."""
+
+    def test_peak_memory_at_scientsbank_scale(self):
+        """135 questions of 36 distinct answers at d = 384: dense adapters
+        alone would take 152 MiB."""
+        import tracemalloc
+
+        from conftest import make_corpus
+        from ragrade.corpus import Label
+
+        rng = np.random.default_rng(5)
+        labels = list(Label)
+        drawn = rng.choice(len(labels), size=135 * 36, p=[0.40, 0.27, 0.11, 0.21, 0.01])
+        rows = [(f"r{k:04d}", f"q{k // 36:03d}", "train", labels[i]) for k, i in enumerate(drawn)]
+        corpus = make_corpus({f"q{q:03d}": f"question {q}" for q in range(135)}, rows)
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=0)
+        base = HashEmbedder(384)
+        base.embed_many([r.text for r in corpus.split("train")])  # the memo is not training's
+        tracemalloc.start()
+        try:
+            results = train_for_corpus(TrainConfig(), corpus, sets, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 135
+        assert all(r.adapter.basis is not None and r.adapter.core.shape == (36, 36) for r in results.values())
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("loss", [LossKind.COSINE_SENTENCE, LossKind.COSINE_SIMILARITY, LossKind.TRIPLET])
+    @pytest.mark.parametrize("scope", [Scope.QUESTION, Scope.GLOBAL])
+    def test_triplet_sets_are_built_only_for_the_triplet_loss(self, monkeypatch, loss, scope):
+        import ragrade.pairs
+
+        built, original = [], ragrade.pairs.build_triplets
+
+        def counting(responses, *args):
+            built.append(responses)
+            return original(responses, *args)
+
+        monkeypatch.setattr(ragrade.pairs, "build_triplets", counting)
+        corpus = two_family_corpus()
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, scope, seed=3)
+        assert built == []
+        train_for_corpus(STEP_CONFIGS[loss], corpus, sets, HashEmbedder(24))
+        assert len(built) == (3 if loss is LossKind.TRIPLET else 0)
+        sets.manifest()
+        sets.manifest()
+        assert len(built) == 3  # each question's set once, when first read
+
+    def test_lazy_triplet_sets_equal_eager_ones(self):
+        from ragrade.pairs import build_triplets
+
+        corpus = two_family_corpus()
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=3)
+        eager = {
+            qid: build_triplets(responses, Scheme.THREE_WAY, derive_seed(3, qid, "triplets"))
+            for qid, responses in corpus.by_question("train").items()
+        }
+        assert sets.triplet_sets["q3"] == eager["q3"]  # read out of order: the same seed
+        assert list(sets.triplet_sets) == list(eager)
+        assert dict(sets.triplet_sets) == eager and len(sets.triplet_sets) == 3
+        with pytest.raises(KeyError):
+            sets.triplet_sets["q9"]
+        with pytest.raises(TypeError):
+            sets.triplet_sets["q9"] = []
+
+    def test_sets_of_at_least_d_texts_train_a_dense_adapter(self):
+        corpus = two_family_corpus()
+        sets = build_training_sets(corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.GLOBAL, seed=3)
+        config = STEP_CONFIGS[LossKind.COSINE_SENTENCE]
+        (result,) = train_for_corpus(config, corpus, sets, HashEmbedder(4)).values()
+        assert result.adapter.basis is None and result.adapter.a == 0.0
+        assert result.adapter.weights is result.adapter.core
