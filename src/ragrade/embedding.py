@@ -2,9 +2,10 @@
 
 The base embedder is pluggable: a deterministic feature-hashing embedder
 works fully offline, and a remote HTTP embedder can stand in for any
-hosted model.  A square adapter matrix is applied on top of base
-embeddings and re-normalized, so retrieval similarity is always cosine
-between unit vectors.
+hosted model.  A square adapter matrix, kept in the low-rank factored
+form training makes, is applied on top of base embeddings and
+re-normalized, so retrieval similarity is always cosine between unit
+vectors.  Adapter files hold the dense matrix.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ class Adapter:
     keeps the factored form training computes, W = a*I + basis @ core @
     basis.T (a d x m orthonormal basis, an m x m core); a dense one
     (Adapter(weights), a loaded file) has basis None, core W and a 0.
-    The dense `weights` is formed on each read, not kept.
+    A factored adapter's dense `weights` is formed on each read, not kept.
     """
 
     def __init__(self, weights=None, trained_on: dict | None = None, *, a=0.0, basis=None, core=None):

@@ -10,7 +10,6 @@ negatives to match.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import itertools
 import json
@@ -272,13 +271,14 @@ class _Triplets(Mapping):
     seed on first lookup, so that training on pairs never builds one."""
 
     def __init__(self, by_question: dict[str, list[Response]], scheme: Scheme, seed: int):
-        self._by_question = by_question
-        self._build = functools.cache(
-            lambda qid: build_triplets(by_question[qid], scheme, derive_seed(seed, qid, "triplets"))
-        )
+        self._by_question, self._scheme, self._seed = by_question, scheme, seed
+        self._built: dict[str, list[Triplet]] = {}
 
     def __getitem__(self, qid: str) -> list[Triplet]:
-        return self._build(qid)
+        if qid not in self._built:
+            seed = derive_seed(self._seed, qid, "triplets")
+            self._built[qid] = build_triplets(self._by_question[qid], self._scheme, seed)
+        return self._built[qid]
 
     def __iter__(self):
         return iter(self._by_question)

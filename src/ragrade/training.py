@@ -93,8 +93,8 @@ class _Examples:
     """A training set as row indices into the coordinates of its distinct texts."""
 
     kind: str  # "pairs" or "triplets"
-    basis: np.ndarray | None  # and x: _coordinates of the base embeddings, one row per text id
-    x: np.ndarray
+    basis: np.ndarray | None  # (basis, x): _coordinates of the texts' base embeddings,
+    x: np.ndarray  # one row of x per distinct text id
     rows: np.ndarray  # (sides, examples): the row of each side of each example
     labels: np.ndarray | None  # pair labels; None for triplets
 
