@@ -275,20 +275,20 @@ class Adapter:
             try:
                 return cls(read_payload(fh, (dim, dim), "<f8"), header.get("trained_on", {}))
             except ValueError as exc:  # the payload's length, or a non-finite entry
-                raise AdapterFileError(str(exc)) from None
+                raise AdapterFileError(f"{path}: {exc}") from None
 
 
 def read_payload(fh, shape: tuple[int, int], dtype: str) -> np.ndarray:
-    """The rest of binary file `fh` as a new array of `shape`, or ValueError
-    naming the file.  The remaining size is checked before the array is
-    allocated, so sizes that disagree with the file are never allocated."""
+    """The rest of binary file `fh` as a new array of `shape`, or ValueError,
+    which callers prefix with the file's name.  The remaining size is checked
+    before the array is allocated, so sizes that disagree are never allocated."""
     expected = shape[0] * shape[1] * np.dtype(dtype).itemsize
     got = os.fstat(fh.fileno()).st_size - fh.tell()
     if got == expected:
         out = np.empty(shape, dtype)
         got = fh.readinto(out)  # short if the file shrank since
     if got != expected:
-        raise ValueError(f"{fh.name}: payload length mismatch, expected {expected} bytes, got {got}")
+        raise ValueError(f"payload length mismatch, expected {expected} bytes, got {got}")
     return out
 
 

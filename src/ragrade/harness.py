@@ -4,7 +4,8 @@ One test response flows embed -> exact top-k -> prompt render -> backend
 completion -> verdict parse -> confusion tally.  Unseen-answer runs grade
 with retrieved examples; unseen-question/domain runs grade without, unless
 a fraction of the test split is moved into the store first (the
-rag-fraction experiment).  Metrics are averaged over the configured seeds,
+rag-fraction experiment), embedded in batches as the store's own rows
+are.  Metrics are averaged over the configured seeds,
 which are graded as one stream of prompts: each seed is set up when the
 stream reaches it, while the previous seed's last requests are in flight.
 """
@@ -44,7 +45,8 @@ from .prompts import (
     scheme_task,
 )
 from .training import TrainConfig, train_for_corpus
-from .vstore import RetrievalConfig, StoreError, VectorStore, build_store, entry_from_response, top_k
+from .vstore import RetrievalConfig, StoreError, VectorStore, build_store, top_k
+from .vstore import entry_from_response  # noqa: F401  unused here; perfbench's tracer wraps it by name
 
 SCENARIOS = ("ua", "uq", "ud")
 
@@ -431,12 +433,13 @@ def run_scenario(
     config.rag_fraction set, which a ua run rejects, a uq/ud run is the
     rag-fraction experiment: each seed samples floor(fraction * |split|)
     responses uniformly and adds them to the store with their gold
-    judgments, and the remainder is graded with examples over
-    corpus-wide candidates; the adapter is never retrained on the moved
-    fraction.  Any artifact not passed in is built on demand, once per
-    seed, except that a rag-fraction store no trained adapter ties to a
-    seed is built once, and the base embedder, whose token memo every
-    seed then shares, once per run.
+    judgments, embedded in batches by VectorStore.extended, and the
+    remainder is graded with examples over corpus-wide candidates; the
+    adapter is never retrained on the moved fraction.  Any artifact not
+    passed in is built on demand, once per seed, except that a
+    rag-fraction store no trained adapter ties to a seed is built once,
+    and the base embedder, whose token memo every seed then shares, once
+    per run.
 
     The seeds are graded as one stream over one pool, as grade_responses
     grades one seed: a seed's set-up runs on the calling thread when the
@@ -481,9 +484,7 @@ def run_scenario(
                     "rag_fraction": config.rag_fraction,
                     "base_store_entries": len(grader.store),
                 }
-                rows = [entry_from_response(r, grader.embedder) for r in moved]
-                grader = dataclasses.replace(grader, store=grader.store.extended(rows))
-                del rows  # the extended store holds copies until this seed ends
+                grader = dataclasses.replace(grader, store=grader.store.extended(moved, grader.embedder))
                 extra = {
                     "moved_to_store": len(moved),
                     "scored": len(graded),

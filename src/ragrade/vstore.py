@@ -6,8 +6,8 @@ text, its judgment and ids.  It is immutable once built: its constructor
 (and so build_store, load and extended) checks the matrix's shape and
 every row's unit norm in one vectorized pass and indexes the rows by
 question_id, and every query reuses matrix and index.  build_store
-embeds each run of same-question responses in one embed_many batch and
-fills the matrix a batch at a time.  Retrieval is an exact matrix
+and extended embed each run of same-question responses in one embed_many
+batch and fill the matrix a batch at a time.  Retrieval is an exact matrix
 product over the candidate rows, cast to float64 per query: no
 approximation, descending score, ties broken by ascending row index.
 Holding vectors in float32 makes save/load byte-stable.
@@ -77,11 +77,13 @@ class VectorStore:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def extended(self, rows: list[tuple[np.ndarray, Entry]]) -> "VectorStore":
-        """New store with (unit vector, entry) rows appended; self is unchanged."""
-        extra = np.array([vec for vec, _ in rows], np.float32).reshape(len(rows), self.dim)
-        entries = (*self.entries, *(entry for _, entry in rows))
-        return VectorStore(self.dim, self.embedder_id, np.concatenate([self.vectors, extra]), entries)
+    def extended(self, responses: list[Response], embedder: BaseEmbedder) -> "VectorStore":
+        """New store with the responses' rows appended as build_store embeds them; self unchanged."""
+        if embedder.embedder_id != self.embedder_id:
+            raise StoreError(f"store embedder {self.embedder_id!r} != {embedder.embedder_id!r}")
+        vectors = np.concatenate([self.vectors, _embedded(responses, embedder)])
+        entries = (*self.entries, *(Entry(_metadata(r)) for r in responses))
+        return VectorStore(self.dim, self.embedder_id, vectors, entries)
 
     def save(self, path: str | Path) -> None:
         """Header JSON line, one metadata JSON line per entry, float32 payload."""
@@ -121,7 +123,7 @@ class VectorStore:
             try:
                 vectors = read_payload(fh, (count, dim), "<f4")
             except ValueError as exc:
-                raise StoreError(str(exc)) from None
+                raise StoreError(f"{path}: {exc}") from None
         try:
             return cls(dim, header["embedder_id"], vectors, entries)
         except StoreError as exc:
@@ -176,6 +178,23 @@ def build_store(
     """
     if (include_question or include_reference) and questions is None:
         raise StoreError("question metadata requested but no question map given")
+    vectors = _embedded(responses, embedder)
+    entries = []
+    for r in responses:
+        metadata = _metadata(r)
+        if include_question:
+            metadata["question"] = questions[r.question_id].text
+        if include_reference:
+            refs = questions[r.question_id].reference_answers
+            if refs:
+                metadata["reference_answer"] = "\n".join(refs)
+        entries.append(Entry(metadata))
+    return VectorStore(embedder.dim, embedder.embedder_id, vectors, entries)
+
+
+def _embedded(responses: list[Response], embedder: BaseEmbedder) -> np.ndarray:
+    """The responses' unit float32 rows: one embed_many batch per run of
+    same-question responses, its norms checked and divided out in one pass."""
     vectors = np.empty((len(responses), embedder.dim), np.float32)
     start = 0
     for question_id, run in groupby(responses, key=lambda r: r.question_id):
@@ -195,17 +214,7 @@ def build_store(
             )
         vectors[start : start + len(block)] = emb / norms[:, None]
         start += len(block)
-    entries = []
-    for r in responses:
-        metadata = _metadata(r)
-        if include_question:
-            metadata["question"] = questions[r.question_id].text
-        if include_reference:
-            refs = questions[r.question_id].reference_answers
-            if refs:
-                metadata["reference_answer"] = "\n".join(refs)
-        entries.append(Entry(metadata))
-    return VectorStore(embedder.dim, embedder.embedder_id, vectors, entries)
+    return vectors
 
 
 def entry_from_response(response: Response, embedder: BaseEmbedder) -> tuple[np.ndarray, Entry]:

@@ -13,6 +13,7 @@ import requests
 from ragrade.embedding import (
     AdaptedEmbedder,
     Adapter,
+    AdapterFileError,
     EmbeddingError,
     HashEmbedder,
     RemoteEmbedder,
@@ -311,6 +312,13 @@ class TestAdapter:
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(ValueError, match="payload length mismatch"):
+            Adapter.load(path)
+
+    def test_non_finite_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "w.adapter"
+        Adapter(np.eye(4)).save(path)
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())
+        with pytest.raises(AdapterFileError, match=re.escape(f"{path}: ") + ".*non-finite entries$"):
             Adapter.load(path)
 
     def test_huge_dim_fails_before_allocating(self, tmp_path):

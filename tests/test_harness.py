@@ -40,7 +40,7 @@ from ragrade.losses import LossKind
 from ragrade.pairs import Scope, Strategy
 from ragrade.prompts import load_template
 from ragrade.training import TrainingError
-from ragrade.vstore import RetrievalConfig, build_store, top_k
+from ragrade.vstore import RetrievalConfig, VectorStore, build_store, entry_from_response, top_k
 
 
 def nearest_neighbor_predictions(
@@ -367,6 +367,42 @@ class TestRagFraction:
         config = ExperimentConfig(scheme=Scheme.THREE_WAY, seeds=(1,), embed_dim=64)
         rag_fraction_experiment(corpus, "uq", 0.3, config, adapters=adapter)
         assert adapter.weights.tobytes() == before
+
+    @pytest.mark.parametrize("kind", ["hash", "adapted", "routed"])
+    def test_moved_rows_equal_the_row_by_row_move(self, monkeypatch, kind):
+        """The batched move's store holds bitwise the rows of the per-row one:
+        entry_from_response for each moved response, cast to float32 and
+        concatenated below the base store's rows."""
+        rng = np.random.default_rng(8)
+        vocab = "gravity pulls pushes objects down up earth space mass moon sky blue".split()
+        order = ["qa"] * 7 + ["qb"] * 5 + ["qa"] * 4 + ["qc"] * 8 + ["qb"] * 3
+        rows = [("t0", "qt", "train", Label.CORRECT, "a train answer about momentum")] + [
+            (f"s{i:02d}", qid, "uq", list(Label)[i % len(Label)],
+             " ".join(rng.choice(vocab, size=rng.integers(2, 12))))
+            for i, qid in enumerate(order)
+        ]
+        corpus = make_corpus({q: f"{q}?" for q in ("qt", "qa", "qb", "qc")}, rows)
+
+        def adapter():
+            return Adapter(np.eye(32) + 0.3 * rng.normal(size=(32, 32)))
+
+        adapters = {"hash": None, "adapted": adapter(), "routed": {"qa": adapter(), "qc": adapter()}}
+        moves, real = [], VectorStore.extended
+
+        def spy(store, moved, embedder):
+            moves.append((store, moved, embedder, real(store, moved, embedder)))
+            return moves[-1][-1]
+
+        monkeypatch.setattr(VectorStore, "extended", spy)
+        config = ExperimentConfig(scheme=Scheme.THREE_WAY, seeds=(1, 2, 3), embed_dim=32)
+        rag_fraction_experiment(corpus, "uq", 0.5, config, adapters=adapters[kind])
+        assert len(moves) == 3
+        for store, moved, embedder, extended in moves:
+            per_row = [entry_from_response(r, embedder) for r in moved]
+            vectors = np.concatenate([store.vectors, np.array([v for v, _ in per_row], np.float32)])
+            entries = [*store.entries, *(e for _, e in per_row)]
+            assert extended.vectors.tobytes() == vectors.tobytes()
+            assert json.dumps([e.metadata for e in extended.entries]) == json.dumps([e.metadata for e in entries])
 
     def test_fraction_bounds(self):
         corpus = shifted_corpus()

@@ -7,7 +7,7 @@ import pytest
 import requests
 
 from conftest import make_corpus
-from ragrade.corpus import Label
+from ragrade.corpus import Label, Response
 from ragrade.embedding import AdaptedEmbedder, Adapter, BaseEmbedder, HashEmbedder, RemoteEmbedder
 from ragrade.vstore import (
     Entry,
@@ -321,7 +321,7 @@ def mixed_store(seed, n=300, dim=24, questions=7):
     qids = rng.integers(questions, size=n)
     qids[200:220] = qids[:20]
     rows = [row(vectors[i], response_id=f"e{i}", question_id=f"q{qids[i]}") for i in range(n)]
-    return store_of(dim, "fixed", rows), rng
+    return store_of(dim, f"fixed-{dim}", rows), rng  # FixedEmbedder's id
 
 
 class TestTopKMatchesRestacking:
@@ -363,7 +363,12 @@ class TestTopKMatchesRestacking:
     def test_extended_store(self):
         store, rng = mixed_store(13)
         extra, _ = mixed_store(14, n=240)
-        self.assert_same(store.extended(list(zip(extra.vectors, extra.entries))), rng)
+        moved = [
+            Response(e.metadata["response_id"], e.metadata["question_id"], f"text {i}", Label.CORRECT)
+            for i, e in enumerate(extra.entries)
+        ]
+        embedder = FixedEmbedder({r.text: v for r, v in zip(moved, extra.vectors)}, store.dim)
+        self.assert_same(store.extended(moved, embedder), rng)
 
     def test_loaded_store(self, tmp_path):
         store, rng = mixed_store(15)
@@ -687,6 +692,43 @@ class TestRemoteBuildBatches:
         with pytest.raises(StoreError, match=rf"^embedding failed for response '{q1[0].id}': .*503"):
             build_store(responses, embedder)
         assert len(session.posts) == 2  # q0's batch, then q1's
+
+
+class TestExtendedBatches:
+    """extended embeds appended responses as build_store embeds a store's."""
+
+    ENDPOINT = "http://embed.invalid/v1"
+
+    def test_one_request_per_question_run_and_the_same_store(self, tmp_path):
+        responses = list(batch_corpus().split("train"))
+        head, moved = responses[:16], responses[16:]  # q0's second run starts the move
+        session = CountingEmbedSession(16)
+        embedder = RemoteEmbedder(self.ENDPOINT, 16, session=session)
+        store = build_store(head, embedder)
+        del session.posts[:]
+        extended = store.extended(moved, embedder)
+        assert [len(texts) for texts in session.posts] == [3, 12, 1, 2, 8]  # one per run
+        assert [t for texts in session.posts for t in texts] == [r.text for r in moved]
+        expected = reference_store(responses, RemoteEmbedder(self.ENDPOINT, 16, session=CountingEmbedSession(16)))
+        assert saved(extended, tmp_path / "extended") == saved(expected, tmp_path / "expected")
+        assert len(store) == 16  # unchanged
+
+    def test_unembeddable_response_is_named(self):
+        corpus = make_corpus(
+            {"q": "Q?"},
+            [("t", "q", "train", Label.CORRECT), ("m1", "q", "uq", Label.CORRECT),
+             ("bad", "q", "uq", Label.CORRECT, "?!"), ("m2", "q", "uq", Label.CORRECT)],
+        )
+        embedder = HashEmbedder(16)
+        store = build_store(list(corpus.split("train")), embedder)
+        with pytest.raises(StoreError, match=r"^embedding failed for response 'bad': .*no hashable"):
+            store.extended(list(corpus.split("uq")), embedder)
+
+    def test_other_embedder_refused(self):
+        corpus = batch_corpus()
+        store = build_store(list(corpus.split("train"))[:5], HashEmbedder(16))
+        with pytest.raises(StoreError, match=r"'hash-16'.*'adapted\(hash-16\)'"):
+            store.extended(list(corpus.split("train"))[5:], AdaptedEmbedder(HashEmbedder(16), Adapter(np.eye(16))))
 
 
 class TestOneCopyOfEachVector:
