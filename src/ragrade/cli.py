@@ -214,7 +214,7 @@ def build_parser() -> _Parser:
     p.add_argument("--critic", required=True, help="critic backend selector (e.g. scripted:FILE)")
     p.add_argument("--steps", type=int, default=OptimizerConfig.steps)
     p.add_argument("--candidates", type=int, default=OptimizerConfig.beam)
-    p.add_argument("--metric", default=OptimizerConfig.metric, choices=tuple(METRICS))
+    p.add_argument("--metric", default=PromptEvaluator.metric, choices=tuple(METRICS))
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -363,7 +363,7 @@ def _cmd_optimize_prompt(args) -> int:
         store=store,
     )
     evaluator = PromptEvaluator(list(corpus.split(args.scenario)), grader, metric=args.metric)
-    opt_config = OptimizerConfig(steps=args.steps, beam=args.candidates, metric=args.metric)
+    opt_config = OptimizerConfig(steps=args.steps, beam=args.candidates)
     result = optimize(opt_config, grader.template, evaluator, make_backend(args.critic))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

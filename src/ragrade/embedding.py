@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .glm import GlmError, post_json
+
 DEFAULT_DIM = 384
 
 
@@ -144,7 +146,7 @@ class HashEmbedder(BaseEmbedder):
 class RemoteEmbedder(BaseEmbedder):
     """HTTP base embedder: POST {"texts": [...]} -> {"vectors": [[...]]}.
 
-    The response dimension is validated against the configured dim.
+    Sent through glm.post_json's retries; the response dimension must be dim.
     """
 
     def __init__(self, endpoint: str, dim: int, timeout: float = 30.0, session=None):
@@ -158,14 +160,10 @@ class RemoteEmbedder(BaseEmbedder):
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
-        import requests
-
-        poster = self._session.post if self._session is not None else requests.post
         where = f"remote embedder {self.endpoint}"
         try:
-            resp = poster(self.endpoint, json={"texts": texts}, timeout=self.timeout)
-            resp.raise_for_status()
-        except requests.RequestException as exc:
+            resp = post_json(self.endpoint, {"texts": texts}, self.timeout, session=self._session)
+        except GlmError as exc:
             raise EmbeddingError(f"{where}: {exc}") from None
         try:
             body = resp.json()

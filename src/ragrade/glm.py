@@ -10,6 +10,7 @@ scripted backend plays back a fixed list.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -117,20 +118,19 @@ class ScriptedBackend(GlmBackend):
 class RateLimiter:
     """Token bucket on request starts plus a cap on in-flight requests."""
 
-    def __init__(self, requests_per_second: float = 10.0, max_in_flight: int = 4, clock=None):
+    def __init__(self, requests_per_second: float = 10.0, max_in_flight: int = 4):
         if requests_per_second <= 0 or max_in_flight < 1:
             raise ValueError("requests_per_second must be > 0 and max_in_flight >= 1")
         self.interval = 1.0 / requests_per_second
         self.max_in_flight = max_in_flight
-        self._clock = clock or time.monotonic
         self._lock = threading.Lock()
-        self._next_start = self._clock()
+        self._next_start = time.monotonic()
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def __enter__(self):
         self._slots.acquire()
         with self._lock:
-            now = self._clock()
+            now = time.monotonic()
             wait = self._next_start - now
             self._next_start = max(self._next_start, now) + self.interval
         if wait > 0:
@@ -155,6 +155,8 @@ def _lookup_path(obj, dotted: str):
     return node
 
 
+MAX_ATTEMPTS = 3  # per request, the first one included
+BACKOFF_BASE = 0.5  # seconds before the first retry, doubled before each later one
 RETRYABLE_STATUS = (408, 429, 500, 502, 503, 504, 529)
 
 
@@ -171,18 +173,54 @@ def _retry_after(resp) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
+def post_json(endpoint, payload, timeout, api_key=None, session=None, limiter=None, sleep=None):
+    """POST payload as JSON to endpoint and return the status-200 response.
+
+    Transient failures are retried up to MAX_ATTEMPTS total attempts,
+    after an exponential backoff from BACKOFF_BASE scaled by a random
+    factor in [1, 1.5) so that concurrent callers do not retry in
+    lockstep, or after a longer Retry-After sent with a 429 or 503;
+    401/403 raise AuthError immediately and other non-retryable statuses
+    raise NonRetryableError.  A limiter, if given, paces each attempt.
+    """
+    import requests
+
+    headers = {"content-type": "application/json"}
+    if api_key:
+        headers["authorization"] = f"Bearer {api_key}"
+    # module-level requests.post is safe for concurrent callers; an
+    # injected session (tests, custom transports) is used as given
+    post = session.post if session is not None else requests.post
+    last_failure, retry_after = None, 0.0
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        if attempt > 1:
+            backoff = BACKOFF_BASE * 2 ** (attempt - 2) * (1 + 0.5 * random.random())
+            (sleep or time.sleep)(max(backoff, retry_after))
+        try:
+            with limiter or contextlib.nullcontext():
+                resp = post(endpoint, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_failure, retry_after = f"transport error: {exc}", 0.0
+            continue
+        if resp.status_code in (401, 403):
+            raise AuthError(f"authentication failed with status {resp.status_code}")
+        if resp.status_code in RETRYABLE_STATUS:
+            last_failure = f"status {resp.status_code}"
+            retry_after = _retry_after(resp)
+            continue
+        if resp.status_code != 200:
+            raise NonRetryableError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
+        return resp
+    raise RetryExhausted(f"giving up after {MAX_ATTEMPTS} attempts; last failure: {last_failure}")
+
+
 class RemoteBackend(GlmBackend):
     """JSON-over-HTTP completion client.
 
-    Request: {"model", "prompt", "temperature", "max_tokens"}; the
-    completion text is extracted from the response JSON at a dotted field
-    path (default "text").  Transient failures are retried up to
-    max_attempts total attempts, after an exponential backoff scaled by a
-    random factor in [1, 1.5) so that concurrent callers do not retry in
-    lockstep, or after a longer Retry-After sent with a 429 or 503;
-    401/403 raise AuthError immediately and other non-retryable statuses
-    raise NonRetryableError.  Endpoint, credential, model, and field path
-    come from arguments or the RAGRADE_GLM_* environment variables.
+    Request: {"model", "prompt", "temperature", "max_tokens"}, sent by
+    post_json; the completion text is extracted from the response JSON at
+    a dotted field path (default "text").  Endpoint, credential, model,
+    and field path come from arguments or the RAGRADE_GLM_* environment variables.
 
     The limiter's max_in_flight is also the backend's concurrency, so an
     injected session must be safe for concurrent post calls.
@@ -194,8 +232,6 @@ class RemoteBackend(GlmBackend):
         api_key: str | None = None,
         text_path: str | None = None,
         timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         limiter: RateLimiter | None = None,
         log_path: str | Path | None = None,
         session=None,
@@ -207,13 +243,9 @@ class RemoteBackend(GlmBackend):
         self.api_key = api_key or os.environ.get(ENV_API_KEY)
         self.text_path = text_path or os.environ.get(ENV_TEXT_PATH, "text")
         self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.limiter = limiter or RateLimiter()
         self.log_path = Path(log_path) if log_path else None
         self._log_lock = threading.Lock()
-        # module-level requests.post is safe for concurrent callers; an
-        # injected session (tests, custom transports) is used as given
         self._session = session
         self._sleep = sleep
 
@@ -222,49 +254,23 @@ class RemoteBackend(GlmBackend):
         return self.limiter.max_in_flight
 
     def complete(self, prompt: str, params: GenParams) -> str:
-        import requests
-
         payload = {
             "model": _model_sent(params.model_id),
             "prompt": prompt,
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,
         }
-        headers = {"content-type": "application/json"}
-        if self.api_key:
-            headers["authorization"] = f"Bearer {self.api_key}"
-        post = self._session.post if self._session is not None else requests.post
-
-        last_failure, retry_after = None, 0.0
-        for attempt in range(1, self.max_attempts + 1):
-            if attempt > 1:
-                backoff = self.backoff_base * 2 ** (attempt - 2) * (1 + 0.5 * random.random())
-                self._sleep(max(backoff, retry_after))
-            try:
-                with self.limiter:
-                    resp = post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_failure, retry_after = f"transport error: {exc}", 0.0
-                continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"authentication failed with status {resp.status_code}")
-            if resp.status_code in RETRYABLE_STATUS:
-                last_failure = f"status {resp.status_code}"
-                retry_after = _retry_after(resp)
-                continue
-            if resp.status_code != 200:
-                raise NonRetryableError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
-            try:
-                text = str(_lookup_path(resp.json(), self.text_path))
-            except (ValueError, KeyError, IndexError) as exc:
-                raise NonRetryableError(
-                    f"response JSON lacks field path {self.text_path!r}: {exc}"
-                ) from exc
-            self._log(payload, text)
-            return text
-        raise RetryExhausted(
-            f"giving up after {self.max_attempts} attempts; last failure: {last_failure}"
+        resp = post_json(
+            self.endpoint, payload, self.timeout, self.api_key, self._session, self.limiter, self._sleep
         )
+        try:
+            text = str(_lookup_path(resp.json(), self.text_path))
+        except (ValueError, KeyError, IndexError) as exc:
+            raise NonRetryableError(
+                f"response JSON lacks field path {self.text_path!r}: {exc}"
+            ) from exc
+        self._log(payload, text)
+        return text
 
     def _log(self, payload: dict, completion: str) -> None:
         if self.log_path is None:

@@ -33,13 +33,10 @@ class OptimizerError(Exception):
 class OptimizerConfig:
     steps: int = 3  # optimization steps
     beam: int = 4  # candidates proposed per step and retained-set size
-    metric: str = "accuracy"
 
     def __post_init__(self):
         if self.steps < 1 or self.beam < 1:
             raise ValueError("steps and beam must be at least 1")
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r} (have {sorted(METRICS)})")
 
 
 @dataclass
@@ -119,10 +116,14 @@ class PromptEvaluator:
     re-queries the backend.  dev_set_id is a digest of the dev set.
     """
 
-    def __init__(self, dev_set, grader: Grader, metric: str = OptimizerConfig.metric):
+    metric = "accuracy"  # the default; an instance holds the name of its own
+
+    def __init__(self, dev_set, grader: Grader, metric: str = metric):
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r} (have {sorted(METRICS)})")
         self.dev_set = list(dev_set)
         self.grader = grader
-        self.metric = METRICS[metric]
+        self.metric = metric
         h = hashlib.sha256()
         for r in self.dev_set:
             h.update(f"{r.id}\x00{r.text}\x00{r.label.value}\x00".encode("utf-8"))
@@ -134,7 +135,7 @@ class PromptEvaluator:
         if template.sha256 in self.cache:
             return self.cache[template.sha256]
         outcome = grade_responses(replace(self.grader, template=template), self.dev_set)
-        value = float(self.metric(outcome.confusion(self.grader.scheme)))
+        value = float(METRICS[self.metric](outcome.confusion(self.grader.scheme)))
         self.cache[template.sha256] = value
         self.evaluations += 1
         return value

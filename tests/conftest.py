@@ -1,4 +1,5 @@
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -168,3 +169,14 @@ def tiny_corpus(tiny_corpus_path):
     from ragrade.corpus import parse_jsonl
 
     return parse_jsonl(tiny_corpus_path)
+
+
+@pytest.fixture
+def backoff_sleeps(monkeypatch):
+    """Records the seconds each remote retry would sleep, instead of sleeping.
+
+    glm.post_json looks up time.sleep on each retry when its caller passes
+    no sleep, as RemoteEmbedder does."""
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return sleeps

@@ -526,16 +526,24 @@ class TestRemoteEmbedder:
 
 
 class _CannedSession:
-    """Answers every post with the same status and raw body, or raises error."""
+    """Answers the first posts with the (status, headers) pairs in before,
+    one each, and every later post with the same status and raw body, or
+    raises error; counts the posts."""
 
-    def __init__(self, status=200, body=b"", error=None):
+    def __init__(self, status=200, body=b"", error=None, before=()):
         self.status, self.body, self.error = status, body, error
+        self.before = list(before)
+        self.posts = 0
 
-    def post(self, url, json=None, timeout=None):
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
         if self.error is not None:
             raise self.error
         resp = requests.Response()
         resp.status_code, resp._content, resp.url = self.status, self.body, url
+        if self.before:
+            resp.status_code, extra = self.before.pop(0)
+            resp.headers.update(extra)
         return resp
 
 
@@ -546,7 +554,7 @@ class TestRemoteEmbedderOutsideFailures:
     @pytest.mark.parametrize(
         "session, problem",
         [
-            (_CannedSession(500, b"oops"), "500 Server Error"),
+            (_CannedSession(500, b"oops"), "giving up after 3 attempts; last failure: status 500"),
             (_CannedSession(error=requests.ConnectionError("refused")), "refused"),
             (_CannedSession(200, b"<html>"), "not JSON"),
             (_CannedSession(200, b"[[0.6, 0.8]]"), "not a JSON object with a 'vectors' list"),
@@ -564,7 +572,7 @@ class TestRemoteEmbedderOutsideFailures:
             "strings", "ragged", "count", "dimension", "nan", "infinity", "null",
         ],
     )
-    def test_raises_embedding_error_naming_endpoint(self, session, problem):
+    def test_raises_embedding_error_naming_endpoint(self, session, problem, backoff_sleeps):
         embedder = RemoteEmbedder(ENDPOINT, dim=2, session=session)
         with pytest.raises(EmbeddingError) as info:
             embedder.embed("hello")
@@ -575,3 +583,36 @@ class TestRemoteEmbedderOutsideFailures:
         session = _CannedSession(200, b'{"vectors": [[0.6, 0.8], [1, 0]]}')
         out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed_many(["a", "b"])
         np.testing.assert_array_equal(out, [[0.6, 0.8], [1.0, 0.0]])
+
+
+class TestRemoteEmbedderRetries:
+    """The embedder's posts follow glm.post_json's retry policy."""
+
+    GOOD = b'{"vectors": [[0.6, 0.8]]}'
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_auth_failure_not_retried(self, status, backoff_sleeps):
+        session = _CannedSession(status, b"denied")
+        with pytest.raises(EmbeddingError) as info:
+            RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+        assert str(info.value) == f"remote embedder {ENDPOINT}: authentication failed with status {status}"
+        assert session.posts == 1 and backoff_sleeps == []
+
+    def test_client_error_not_retried(self, backoff_sleeps):
+        session = _CannedSession(404, b"no such model")
+        with pytest.raises(EmbeddingError, match=f"{ENDPOINT}: unexpected status 404: no such model"):
+            RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+        assert session.posts == 1 and backoff_sleeps == []
+
+    def test_transient_failures_then_success(self, backoff_sleeps):
+        session = _CannedSession(200, self.GOOD, before=[(503, {}), (500, {})])
+        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+        np.testing.assert_array_equal(out, [0.6, 0.8])
+        assert session.posts == 3
+        assert 0.5 <= backoff_sleeps[0] < 0.75 and 1.0 <= backoff_sleeps[1] < 1.5
+
+    def test_retry_after_longer_than_backoff_is_honoured(self, backoff_sleeps):
+        session = _CannedSession(200, self.GOOD, before=[(429, {"Retry-After": "7"})])
+        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+        np.testing.assert_array_equal(out, [0.6, 0.8])
+        assert session.posts == 2 and backoff_sleeps == [7.0]

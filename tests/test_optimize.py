@@ -293,5 +293,9 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(steps=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(metric="nope")
+        with pytest.raises(TypeError):  # the metric is the evaluator's alone
+            OptimizerConfig(metric="accuracy")
+
+    def test_evaluator_refuses_unknown_metric(self):
+        with pytest.raises(ValueError, match=r"unknown metric 'nope' \(have \['accuracy', "):
+            PromptEvaluator([], None, metric="nope")

@@ -9,6 +9,7 @@ import requests
 from conftest import make_corpus
 from ragrade.corpus import Label, Response
 from ragrade.embedding import AdaptedEmbedder, Adapter, BaseEmbedder, HashEmbedder, RemoteEmbedder
+from ragrade.glm import MAX_ATTEMPTS
 from ragrade.vstore import (
     Entry,
     RetrievalConfig,
@@ -649,11 +650,13 @@ class TestBuildMatchesRowByRow:
 class CountingEmbedSession:
     """A remote embedder's session: answers each post with 3x the texts'
     hash embeddings and records the texts it got; a post holding one of
-    the failing texts is answered 503."""
+    the failing texts is answered 503 (only the first `fails` such posts,
+    when fails is not negative)."""
 
-    def __init__(self, dim, failing=()):
+    def __init__(self, dim, failing=(), fails=-1):
         self.base = HashEmbedder(dim)
         self.failing = set(failing)
+        self.fails = fails
         self.posts = []
 
     def post(self, url, **kwargs):
@@ -661,7 +664,8 @@ class CountingEmbedSession:
         self.posts.append(texts)
         resp = requests.Response()
         resp.url = url
-        if self.failing.intersection(texts):
+        if self.failing.intersection(texts) and self.fails != 0:
+            self.fails -= 1
             resp.status_code, resp._content = 503, b"down"
         else:
             vectors = 3 * self.base.embed_many(texts)
@@ -683,7 +687,7 @@ class TestRemoteBuildBatches:
         assert len(single.posts) == len(responses)
         assert saved(built, tmp_path / "built") == saved(expected, tmp_path / "expected")
 
-    def test_failed_batch_names_its_first_response(self):
+    def test_failed_batch_names_its_first_response(self, backoff_sleeps):
         corpus = batch_corpus()
         responses = list(corpus.split("train"))
         q1 = [r for r in responses if r.question_id == "q1"]
@@ -691,7 +695,19 @@ class TestRemoteBuildBatches:
         embedder = RemoteEmbedder(self.ENDPOINT, 16, session=session)
         with pytest.raises(StoreError, match=rf"^embedding failed for response '{q1[0].id}': .*503"):
             build_store(responses, embedder)
-        assert len(session.posts) == 2  # q0's batch, then q1's
+        assert len(session.posts) == 1 + MAX_ATTEMPTS  # q0's batch, then each attempt at q1's
+        assert len(backoff_sleeps) == MAX_ATTEMPTS - 1
+
+    def test_one_transient_failure_costs_nothing(self, tmp_path, backoff_sleeps):
+        responses = list(batch_corpus().split("train"))
+        q1 = [r for r in responses if r.question_id == "q1"]
+        flaky, steady = CountingEmbedSession(16, [q1[2].text], fails=1), CountingEmbedSession(16)
+        built = build_store(responses, RemoteEmbedder(self.ENDPOINT, 16, session=flaky))
+        expected = build_store(responses, RemoteEmbedder(self.ENDPOINT, 16, session=steady))
+        assert saved(built, tmp_path / "built") == saved(expected, tmp_path / "expected")
+        assert len(flaky.posts) == len(steady.posts) + 1  # q1's batch, sent twice
+        assert flaky.posts[1] == flaky.posts[2] == [r.text for r in q1]
+        assert len(backoff_sleeps) == 1
 
 
 class TestExtendedBatches:
