@@ -197,8 +197,8 @@ class Grader:
     fallback_label: str | None = None
 
 
-def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome:
-    """Grade responses through the full pipeline against gold labels.
+def grade_responses(runs, backend: GlmBackend) -> list[GradingOutcome]:
+    """Grade each (grader, responses) of runs through the full pipeline against gold labels.
 
     Templates with an examples slot retrieve top-k from the store first;
     templates without grade on question and reference alone.  Verdicts
@@ -206,21 +206,17 @@ def grade_responses(grader: Grader, responses: list[Response]) -> GradingOutcome
     retries, fall back to fallback_label (scheme default when None) and
     are counted apart.  Any other backend error ends the grading.
 
-    Retrieval and rendering run on the calling thread.  A backend whose
-    concurrency exceeds 1 completes and parses up to that many prompts at
-    once on a thread pool while the next prompts are rendered.  Verdicts
-    are still taken in response order, so the outcome equals a one-at-a-
-    time run's, and of the backend errors the first in response order is
-    raised; an error in retrieval or rendering is raised when it occurs,
-    and a failed retrieval (a query the embedder rejects, or one the
-    store cannot score) as a HarnessError naming the response.  This is
-    the one-run case of the stream run_scenario grades its seeds in.
+    The runs are one stream over one pool, which backend sizes before the
+    first grader is drawn: runs may be a generator that builds each
+    grader when the stream reaches it.  Retrieval and rendering run on
+    the calling thread; up to backend.concurrency prompts complete and
+    parse at once.  Verdicts are taken in (run, response) order, so the
+    outcomes equal a one-at-a-time run's, and the first backend error in
+    that order is raised; a retrieval or render error is raised when it
+    occurs, a failed retrieval as a HarnessError naming the response.
+    One run is grade_responses([(grader, responses)], grader.backend)[0].
+    perfbench's tracer wraps this name as its harness.grade layer.
     """
-    return _grade_runs([(grader, responses)], grader.backend)[0]
-
-
-def _grade_runs(runs, backend: GlmBackend) -> list[GradingOutcome]:
-    """grade_responses on each (grader, responses) of runs, drawn as one stream reaches it."""
     outcomes = []
 
     def prompt_for(g: Grader, r: Response) -> str:
@@ -441,10 +437,10 @@ def run_scenario(
     and the base embedder, whose token memo every seed then shares, once
     per run.
 
-    The seeds are graded as one stream over one pool, as grade_responses
-    grades one seed: a seed's set-up runs on the calling thread when the
-    stream first asks for its first prompt, overlapping the previous
-    seed's last requests, and the previous seed's grader is freed first.
+    The seeds are graded as one grade_responses stream over one pool: a
+    seed's set-up runs on the calling thread when the stream first asks
+    for its first prompt, overlapping the previous seed's last requests,
+    and the previous seed's grader is freed first.
     Verdicts are read in (seed, response) order; an error in a seed's
     set-up is raised when it occurs, and of the backend errors the first
     in that order is raised.
@@ -480,10 +476,7 @@ def run_scenario(
                 moved_idx = set(rng.choice(len(responses), size=n_moved, replace=False).tolist())
                 moved = [r for i, r in enumerate(responses) if i in moved_idx]
                 graded = [r for i, r in enumerate(responses) if i not in moved_idx]
-                manifest_extra = {
-                    "rag_fraction": config.rag_fraction,
-                    "base_store_entries": len(grader.store),
-                }
+                manifest_extra = {"base_store_entries": len(grader.store)}
                 grader = dataclasses.replace(grader, store=grader.store.extended(moved, grader.embedder))
                 extra = {
                     "moved_to_store": len(moved),
@@ -495,7 +488,7 @@ def run_scenario(
             yield grader, graded
             del grader  # free this seed's store before the next seed builds one
 
-    outcomes = _grade_runs(runs(), backend)
+    outcomes = grade_responses(runs(), backend)
     return _mean_reports(scenario, config, corpus, template, extras, outcomes, **manifest_extra)
 
 

@@ -134,7 +134,8 @@ class PromptEvaluator:
     def score(self, template: PromptTemplate) -> float:
         if template.sha256 in self.cache:
             return self.cache[template.sha256]
-        outcome = grade_responses(replace(self.grader, template=template), self.dev_set)
+        runs = [(replace(self.grader, template=template), self.dev_set)]
+        outcome = grade_responses(runs, self.grader.backend)[0]
         value = float(METRICS[self.metric](outcome.confusion(self.grader.scheme)))
         self.cache[template.sha256] = value
         self.evaluations += 1
@@ -175,21 +176,21 @@ def optimize(
     """Run the propose/evaluate/rank loop for config.steps steps.
 
     The union of retained and new candidates is ranked by score (ties:
-    earlier insertion wins) and truncated to the beam; the draft scores
-    at step 0.  The best retained score is non-decreasing by
-    construction.  A step whose proposals are all invalid is a no-op.
+    earlier insertion wins) and truncated to the beam; step 0 scores the
+    draft alone, and each later step scores the critic's proposals.  The
+    best retained score is non-decreasing by construction.  A step whose
+    proposals are all invalid is a no-op.
     """
-    draft_candidate = Candidate(template=draft, step=0)
-    draft_candidate.score = evaluator.score(draft)
-    retained = [draft_candidate]
-    history = [draft_candidate]
-    best_trace = [draft_candidate.score]
+    retained: list[Candidate] = []
+    history: list[Candidate] = []
+    best_trace: list[float] = []
 
-    for step in range(1, config.steps + 1):
-        bodies = propose(critic, retained, config.beam)
+    for step in range(config.steps + 1):
+        templates = propose(critic, retained, config.beam) if step else [draft]
+        parent_sha = retained[0].sha if retained else None
         new_candidates = []
-        for template in bodies:
-            candidate = Candidate(template=template, step=step, parent_sha=retained[0].sha)
+        for template in templates:
+            candidate = Candidate(template=template, step=step, parent_sha=parent_sha)
             candidate.score = evaluator.score(template)
             new_candidates.append(candidate)
         history.extend(new_candidates)

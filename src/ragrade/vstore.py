@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Question, Response
+from .corpus import CorpusError, Label, Question, Response
 from .embedding import BaseEmbedder, EmbeddingError, read_payload
 
 STORE_VERSION = 1
@@ -134,9 +134,14 @@ def _entry(path: Path, line: int, raw: bytes) -> Entry:
     # every row repeats the same keys: keep one copy of each
     metadata = {sys.intern(key): value for key, value in _json_object(path, line, raw).items()}
     try:
-        return Entry(metadata)
-    except StoreError as exc:
+        entry = Entry(metadata)
+        Label.parse(metadata["judgment"])
+    except (StoreError, CorpusError) as exc:
         raise StoreError(f"{path}: line {line}: {exc}") from None
+    for key in ("response_text", "question_id"):
+        if not isinstance(metadata.get(key, ""), str):
+            raise StoreError(f"{path}: line {line}: {key} must be a string, got {metadata[key]!r}")
+    return entry
 
 
 def _json_object(path: Path, line: int, raw: bytes) -> dict:

@@ -503,7 +503,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def embed_server():
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()

@@ -145,11 +145,12 @@ def glm_server():
     _GlmHandler.script = []
     _GlmHandler.requests_seen = []
     server = HTTPServer(("127.0.0.1", 0), _GlmHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
     server.server_close()
+    thread.join()
 
 
 def fast_backend(endpoint, **kwargs):

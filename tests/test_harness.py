@@ -119,7 +119,7 @@ class TestGradeResponses:
             store=store,
             retrieval=RetrievalConfig(k=3, same_question_only=True),
         )
-        outcome = grade_responses(grader, list(tiny_corpus.split("ua")))
+        outcome = grade_responses([(grader, list(tiny_corpus.split("ua")))], grader.backend)[0]
         expected = nearest_neighbor_predictions(
             list(tiny_corpus.split("ua")),
             store,
@@ -133,7 +133,7 @@ class TestGradeResponses:
     def test_without_examples_needs_no_store(self, tiny_corpus):
         template = load_template("SB3", "without_examples", "cpg")
         grader = Grader(tiny_corpus.questions, Scheme.THREE_WAY, template, MockBackend())
-        outcome = grade_responses(grader, list(tiny_corpus.split("uq")))
+        outcome = grade_responses([(grader, list(tiny_corpus.split("uq")))], grader.backend)[0]
         # mock has no examples to echo: every verdict is "incorrect"
         assert set(outcome.predictions) == {"incorrect"}
 
@@ -143,7 +143,7 @@ class TestGradeResponses:
             tiny_corpus.questions, Scheme.THREE_WAY, template, MockBackend(), embedder=HashEmbedder(64)
         )
         with pytest.raises(HarnessError, match="with_examples grading needs a store and an embedder"):
-            grade_responses(grader, list(tiny_corpus.split("ua")))
+            grade_responses([(grader, list(tiny_corpus.split("ua")))], grader.backend)[0]
 
     def test_parse_failures_fall_back_and_count(self, tiny_corpus):
         class Mumbler:
@@ -154,7 +154,7 @@ class TestGradeResponses:
         grader = Grader(
             tiny_corpus.questions, Scheme.THREE_WAY, template, Mumbler(), fallback_label="incorrect"
         )
-        outcome = grade_responses(grader, list(tiny_corpus.split("uq")))
+        outcome = grade_responses([(grader, list(tiny_corpus.split("uq")))], grader.backend)[0]
         assert outcome.parse_failures == len(tiny_corpus.split("uq"))
         assert set(outcome.predictions) == {"incorrect"}
 
@@ -167,7 +167,7 @@ class TestGradeResponses:
 
         template = load_template("BEETLE5", "without_examples", "cpg")
         grader = Grader(tiny_corpus.questions, Scheme.FIVE_WAY, template, Mumbler())
-        outcome = grade_responses(grader, list(tiny_corpus.split("uq")))
+        outcome = grade_responses([(grader, list(tiny_corpus.split("uq")))], grader.backend)[0]
         assert set(outcome.predictions) == {"non-domain"}
         from ragrade.metrics import ConfusionMatrix
 
@@ -787,7 +787,7 @@ class TestPipelinedGrading:
         gc.disable()
         try:
             try:
-                grade_responses(grader, responses)
+                grade_responses([(grader, responses)], grader.backend)[0]
             except AuthError:
                 pass
             else:

@@ -555,6 +555,23 @@ class TestLoadRejectsMalformedFiles:
         saved.write_bytes(b"\n".join([header, meta_a, json.dumps(meta).encode(), payload]))
         self.assert_rejected(saved, "line 3: .*judgment")
 
+    def test_unknown_judgment(self, saved):
+        # refused at load, not when format_examples renders the row after retrieving it
+        header, meta_a, meta_b, payload = self.lines(saved)
+        meta = json.loads(meta_b)
+        meta["judgment"] = "excellent"
+        saved.write_bytes(b"\n".join([header, meta_a, json.dumps(meta).encode(), payload]))
+        self.assert_rejected(saved, "line 3: unknown judgment string 'excellent'")
+
+    @pytest.mark.parametrize("key", ["response_text", "question_id"])
+    def test_non_string_text_or_question_id(self, saved, key):
+        # a numeric question_id would drop the row out of its question's candidates
+        header, meta_a, meta_b, payload = self.lines(saved)
+        meta = json.loads(meta_a)
+        meta[key] = 7
+        saved.write_bytes(b"\n".join([header, json.dumps(meta).encode(), meta_b, payload]))
+        self.assert_rejected(saved, f"line 2: {key} must be a string, got 7")
+
     def test_huge_dim_fails_before_allocating(self, saved):
         header, meta_a, meta_b, payload = self.lines(saved)
         header = header.replace(b'"dim": 2', b'"dim": 1099511627776')  # 2**40
