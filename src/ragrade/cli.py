@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -81,6 +82,14 @@ def _load_corpus(path: str) -> Corpus:
     return parse_jsonl(path)
 
 
+def _seed_list(text: str) -> list[int] | None:
+    """--seeds: comma-separated integers, blank parts skipped; "" means not given."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()] if text else None
+    except ValueError as exc:  # int()'s message names the bad part
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common_eval_args(p: argparse.ArgumentParser):
     # eval-family defaults live in ExperimentConfig; None means "not given",
     # so a --config file is only overridden by flags the user actually passed
@@ -89,7 +98,7 @@ def _add_common_eval_args(p: argparse.ArgumentParser):
     p.add_argument("--backend", default=None, help="mock, remote, replay:PATH, scripted:PATH")
     p.add_argument("--k", type=int, default=None, help="retrieved examples per query")
     p.add_argument("--template-style", default=None, choices=STYLES)
-    p.add_argument("--seeds", default=None, help="comma-separated run seeds (default 1,2,3)")
+    p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated run seeds (default 1,2,3)")
     p.add_argument("--runs", type=int, default=None, help="must match the seed count if given")
     p.add_argument("--dim", type=int, default=None, help="base embedding dimension")
     p.add_argument("--adapter", default=None, help="adapter file, or a directory train-embedder wrote")
@@ -127,7 +136,7 @@ def _experiment_config(args) -> ExperimentConfig:
         "backend": args.backend,
         "k": args.k,
         "template_style": args.template_style,
-        "seeds": [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None,
+        "seeds": args.seeds,
         "embed_dim": args.dim,
         "train_adapter": args.train,
         "rag_fraction": getattr(args, "fraction", None),
@@ -273,16 +282,21 @@ def _cmd_train_embedder(args) -> int:
     )
     base = HashEmbedder(args.dim)
     results = train_for_corpus(config, corpus, sets, base)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for key, result in results.items():
-        result.adapter.save(out / f"{key}.adapter")
     summary = {
         "adapters": len(results),
         "config": config.manifest(),
         "final_epoch_loss": {k: r.epoch_means[-1] if r.epoch_means else None for k, r in results.items()},
     }
-    (out / "manifest.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    out = Path(args.out_dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # staged beside out, on its file system, so a failed write leaves out as it was
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+        for key, result in results.items():
+            result.adapter.save(Path(staging, f"{key}.adapter"))
+        Path(staging, "manifest.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        out.mkdir(exist_ok=True)
+        for staged in Path(staging).iterdir():
+            os.replace(staged, out / staged.name)
     print(f"trained {len(results)} adapter(s) into {out}")
     return EXIT_OK
 

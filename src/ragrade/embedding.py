@@ -30,33 +30,16 @@ class EmbeddingError(Exception):
 
 
 class BaseEmbedder:
-    """Deterministic text -> unit vector mapping of fixed dimension."""
+    """Deterministic text -> unit vector mapping of fixed dimension, through
+    its one method, embed_many; a single text is a one-text batch."""
 
     dim: int
     embedder_id: str
 
-    def embed(self, text: str) -> np.ndarray:
-        raise NotImplementedError
-
-    def embed_scoped(self, text: str, question_id: str | None = None) -> np.ndarray:
-        """Embed with question context; the base ignores it."""
-        return self.embed(text)
-
     def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
-        """The texts' embed_scoped vectors, stacked."""
-        return _stack_rows(lambda text: self.embed_scoped(text, question_id), texts)
-
-
-def _stack_rows(fn, items) -> np.ndarray:
-    """np.stack of fn over items; an EmbeddingError gets the row that raised it."""
-    rows = []
-    for row, item in enumerate(items):
-        try:
-            rows.append(fn(item))
-        except EmbeddingError as exc:
-            exc.row = row
-            raise
-    return np.stack(rows)
+        """The texts' vectors, stacked; question_id scopes the batch, for the
+        embedders that use it.  A failing text raises EmbeddingError with its row."""
+        raise NotImplementedError
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -70,12 +53,13 @@ class HashEmbedder(BaseEmbedder):
     hashed into dim buckets with a sign bit, accumulated, and
     L2-normalized.  Same text always maps to the same vector, across
     processes.  Each distinct token's (buckets, signs) is hashed once
-    and memoized on the instance.  embed_many hashes its batch's new
-    tokens in one pass and sums and normalizes the whole batch at once.
-    Every bucket is a sum of +-1.0 and every squared norm a sum of
-    squared integers, which are exact in any order, so neither the memo
-    nor the batch ever changes a vector: embed_many's rows are bitwise
-    embed's.
+    and memoized on the instance.  embed, outside the interface, embeds
+    one text, and embed_many passes it a one-text batch; a larger batch
+    has its new tokens hashed in one pass and is summed and normalized
+    at once.  Every bucket is a sum of +-1.0 and every squared norm a
+    sum of squared integers, which are exact in any order, so neither
+    the memo nor the batch ever changes a vector: embed_many's rows are
+    bitwise embed's.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
@@ -101,6 +85,8 @@ class HashEmbedder(BaseEmbedder):
         return vec / norm
 
     def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
+        if len(texts) == 1:  # embed's path, which skips the batch's set-up
+            return self.embed(texts[0])[None]
         token_lists = [_TOKEN_RE.findall(text.lower()) for text in texts]
         features = self._features
         self._hash(list(set().union(*token_lists).difference(features)))
@@ -155,9 +141,6 @@ class RemoteEmbedder(BaseEmbedder):
         self.timeout = timeout
         self.embedder_id = f"remote:{endpoint}#{dim}"
         self._session = session
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
         where = f"remote embedder {self.endpoint}"
@@ -294,10 +277,10 @@ class AdaptedEmbedder(BaseEmbedder):
     """Base embedder composed with one adapter, or with one per question.
 
     A single adapter applies to every text.  With a question id ->
-    adapter map, embed_scoped and embed_many pick the question's adapter
-    and fall back to the plain base embedding for other questions and
-    for embed.  embed_many embeds the batch with the base's embed_many,
-    then applies the adapter row by row.
+    adapter map, embed_many picks the batch's question's adapter and
+    falls back to the plain base embedding for other questions and for
+    no question.  It embeds the batch with the base's embed_many, then
+    applies the adapter row by row.
     """
 
     def __init__(self, base: BaseEmbedder, adapters: Adapter | dict[str, Adapter]):
@@ -312,15 +295,16 @@ class AdaptedEmbedder(BaseEmbedder):
         self.dim = base.dim
         self.embedder_id = f"{'adapted' if single else 'routed'}({base.embedder_id})"
 
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_scoped(text, None)
-
-    def embed_scoped(self, text: str, question_id: str | None = None) -> np.ndarray:
-        vec = self.base.embed(text)
-        adapter = self.adapters.get(question_id, self.adapter)
-        return vec if adapter is None else adapter.apply(vec)
-
     def embed_many(self, texts: list[str], question_id: str | None = None) -> np.ndarray:
         vectors = self.base.embed_many(texts)
         adapter = self.adapters.get(question_id, self.adapter)
-        return vectors if adapter is None else _stack_rows(adapter.apply, vectors)
+        if adapter is None:
+            return vectors
+        rows = []
+        for row, vec in enumerate(vectors):
+            try:
+                rows.append(adapter.apply(vec))
+            except EmbeddingError as exc:
+                exc.row = row
+                raise
+        return np.stack(rows)

@@ -226,7 +226,7 @@ def entry_from_response(response: Response, embedder: BaseEmbedder) -> tuple[np.
     """One response's store row: its unit embedding, and an entry of its text,
     judgment and ids."""
     try:
-        vec = embedder.embed_scoped(response.text, response.question_id)
+        vec = embedder.embed_many([response.text], response.question_id)[0]
     except Exception as exc:
         raise StoreError(f"embedding failed for response {response.id!r}: {exc}") from exc
     norm = _checked_norm(vec, f"response {response.id!r}: embedding")
@@ -272,7 +272,7 @@ def top_k(
     if not len(matrix) or (config.same_question_only and rows is None):
         raise StoreError("no candidate entries after scope filtering")
 
-    query = np.asarray(embedder.embed_scoped(query_text, question_id), dtype=np.float64)
+    query = np.asarray(embedder.embed_many([query_text], question_id)[0], dtype=np.float64)
     query = query / _checked_norm(query, "query embedding")
 
     if rows is not None:

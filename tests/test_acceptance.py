@@ -210,11 +210,8 @@ def test_criterion_3_retrieval_exactness():
                 self.dim = dim
                 self.embedder_id = "fixed"
 
-            def embed(self, text):
-                return self.vec
-
-            def embed_scoped(self, text, question_id=None):
-                return self.vec
+            def embed_many(self, texts, question_id=None):
+                return np.array([self.vec for _ in texts])
 
         position = {id(e): i for i, e in enumerate(store.entries)}
         for q in queries:

@@ -411,6 +411,22 @@ class TestTrainAndStoreArtifacts:
         assert cli(argv + ["--out-dir", str(out)]) == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == ["global.adapter", "manifest.json"]
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_save_leaves_the_out_dir_as_it_was(self, tiny_corpus_path, tmp_path, capsys, existing):
+        corpus = tmp_path / "work" / "corpus.jsonl"
+        corpus.parent.mkdir()
+        long_id = "q" * 300  # too long to name a file
+        corpus.write_text(tiny_corpus_path.read_text().replace('"q2"', json.dumps(long_id)))
+        out = corpus.parent / "adapters"
+        if existing:
+            out.mkdir()
+            (out / "kept.txt").write_text("before")
+        argv = ["train-embedder", "--corpus", str(corpus), "--dim", "16", "--out-dir", str(out)]
+        assert cli(argv) == EXIT_RUNTIME
+        assert f"{long_id}.adapter" in capsys.readouterr().err
+        left = ["adapters", "corpus.jsonl", "kept.txt", "work"] if existing else ["corpus.jsonl", "work"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == left
+
 
 class TestEvaluate:
     def test_smoke(self, corpus_arg, tmp_path, capsys):
@@ -471,6 +487,20 @@ class TestEvaluate:
             )
             == EXIT_USAGE
         )
+
+    @pytest.mark.parametrize("seeds, part", [("1,x", "'x'"), ("1, 2,3.5", "'3.5'")])
+    def test_malformed_seeds_name_the_flag(self, corpus_arg, capsys, seeds, part):
+        assert cli(["evaluate", "--corpus", corpus_arg, "--seeds", seeds]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seeds: ") and part in err
+
+    def test_blank_seeds_keep_the_default(self, corpus_arg):
+        args = ragrade.cli.build_parser().parse_args(["evaluate", "--corpus", corpus_arg, "--seeds", ""])
+        assert ragrade.cli._experiment_config(args).seeds == ragrade.harness.ExperimentConfig().seeds
+
+    def test_seeds_with_no_seed_are_refused(self, corpus_arg, capsys):
+        assert cli(["evaluate", "--corpus", corpus_arg, "--seeds", ","]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: at least one seed is required\n"
 
     def test_scheme_5way(self, corpus_arg):
         assert (

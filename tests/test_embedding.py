@@ -226,14 +226,46 @@ class TestEmbedMany:
     def test_empty_batch(self):
         assert HashEmbedder(16).embed_many([]).shape == (0, 16)
 
-    def test_adapted_rows_are_embed_scoped(self):
+    def test_one_text_batch_is_one_embed_call(self):
+        class Spy(HashEmbedder):
+            def __init__(self, dim):
+                super().__init__(dim)
+                self.calls = []
+
+            def embed(self, text):
+                self.calls.append(text)
+                return super().embed(text)
+
+        spy, plain = Spy(64), HashEmbedder(64)
+        for text in answer_texts(seed=3, n=50):
+            spy.calls.clear()
+            row = spy.embed_many([text], "q1")
+            assert spy.calls == [text]
+            assert row.shape == (1, 64) and row.tobytes() == plain.embed(text).tobytes()
+
+    @pytest.mark.parametrize("problem", ["no hashable features", "the zero vector"])
+    def test_failing_one_text_batch_keeps_its_message(self, problem):
+        from conftest import make_corpus
+        from ragrade.corpus import Label
+        from ragrade.vstore import StoreError, build_store
+
+        bad = next(t for t in seeded_texts(seed=0, n=400) if problem in self.error_at_dim_2(t))
+        with pytest.raises(EmbeddingError) as info:
+            HashEmbedder(2).embed_many([bad])
+        assert f"EmbeddingError: {info.value}" == self.error_at_dim_2(bad)
+        corpus = make_corpus({"q": "Q?"}, [("lone", "q", "train", Label.CORRECT, bad)])
+        with pytest.raises(StoreError) as stored:
+            build_store(list(corpus.split("train")), HashEmbedder(2))
+        assert str(stored.value) == f"embedding failed for response 'lone': {info.value}"
+
+    def test_adapted_rows_are_one_text_batches(self):
         rng = np.random.default_rng(0)
         base = HashEmbedder(32)
         routed = AdaptedEmbedder(base, {"q1": Adapter(np.eye(32) + 0.2 * rng.normal(size=(32, 32)))})
         single = AdaptedEmbedder(base, Adapter(np.eye(32) + 0.2 * rng.normal(size=(32, 32))))
         texts = answer_texts(seed=2, n=50)
         for embedder, qid in ((routed, "q1"), (routed, "q2"), (routed, None), (single, "q1")):
-            stacked = np.stack([embedder.embed_scoped(t, qid) for t in texts])
+            stacked = np.concatenate([embedder.embed_many([t], qid) for t in texts])
             assert embedder.embed_many(texts, qid).tobytes() == stacked.tobytes()
 
 
@@ -424,9 +456,9 @@ class TestAdapter:
         adapter = Adapter(weights=np.eye(16) + 0.5 * rng.normal(size=(16, 16)))
         routed = AdaptedEmbedder(base, {"q1": adapter})
         text = "shared words"
-        assert not np.allclose(routed.embed_scoped(text, "q1"), base.embed(text))
-        np.testing.assert_allclose(routed.embed_scoped(text, "q2"), base.embed(text))
-        np.testing.assert_allclose(routed.embed(text), base.embed(text))
+        assert not np.allclose(routed.embed_many([text], "q1")[0], base.embed(text))
+        np.testing.assert_allclose(routed.embed_many([text], "q2")[0], base.embed(text))
+        np.testing.assert_allclose(routed.embed_many([text])[0], base.embed(text))
 
     def test_single_and_routed_adapters(self):
         base = HashEmbedder(16)
@@ -439,12 +471,12 @@ class TestAdapter:
         assert single.embedder_id == "adapted(hash-16)"
         assert routed.embedder_id == "routed(hash-16)"
         for question_id in ("q1", "q2", None):
-            np.testing.assert_array_equal(single.embed_scoped(text, question_id), adapted)
-        np.testing.assert_array_equal(single.embed(text), adapted)
-        np.testing.assert_array_equal(routed.embed_scoped(text, "q1"), adapted)
+            np.testing.assert_array_equal(single.embed_many([text], question_id)[0], adapted)
+        np.testing.assert_array_equal(single.embed_many([text])[0], adapted)
+        np.testing.assert_array_equal(routed.embed_many([text], "q1")[0], adapted)
         for question_id in ("q2", None):
-            np.testing.assert_array_equal(routed.embed_scoped(text, question_id), plain)
-        np.testing.assert_array_equal(routed.embed(text), plain)
+            np.testing.assert_array_equal(routed.embed_many([text], question_id)[0], plain)
+        np.testing.assert_array_equal(routed.embed_many([text])[0], plain)
 
     def test_adapted_embedder_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
@@ -516,13 +548,13 @@ class TestRemoteEmbedder:
         embedder = RemoteEmbedder(embed_server, dim=5)
         out = embedder.embed_many(["hello", "world"])
         assert out.shape == (2, 5)
-        single = embedder.embed("hello")
+        single = embedder.embed_many(["hello"])[0]
         np.testing.assert_allclose(single, out[0])
 
     def test_dimension_mismatch(self, embed_server):
         embedder = RemoteEmbedder(embed_server, dim=9)
         with pytest.raises(EmbeddingError, match="dimension"):
-            embedder.embed("hello")
+            embedder.embed_many(["hello"])
 
 
 class _CannedSession:
@@ -575,7 +607,7 @@ class TestRemoteEmbedderOutsideFailures:
     def test_raises_embedding_error_naming_endpoint(self, session, problem, backoff_sleeps):
         embedder = RemoteEmbedder(ENDPOINT, dim=2, session=session)
         with pytest.raises(EmbeddingError) as info:
-            embedder.embed("hello")
+            embedder.embed_many(["hello"])
         assert ENDPOINT in str(info.value)
         assert problem in str(info.value)
 
@@ -594,25 +626,25 @@ class TestRemoteEmbedderRetries:
     def test_auth_failure_not_retried(self, status, backoff_sleeps):
         session = _CannedSession(status, b"denied")
         with pytest.raises(EmbeddingError) as info:
-            RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+            RemoteEmbedder(ENDPOINT, dim=2, session=session).embed_many(["hello"])[0]
         assert str(info.value) == f"remote embedder {ENDPOINT}: authentication failed with status {status}"
         assert session.posts == 1 and backoff_sleeps == []
 
     def test_client_error_not_retried(self, backoff_sleeps):
         session = _CannedSession(404, b"no such model")
         with pytest.raises(EmbeddingError, match=f"{ENDPOINT}: unexpected status 404: no such model"):
-            RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+            RemoteEmbedder(ENDPOINT, dim=2, session=session).embed_many(["hello"])[0]
         assert session.posts == 1 and backoff_sleeps == []
 
     def test_transient_failures_then_success(self, backoff_sleeps):
         session = _CannedSession(200, self.GOOD, before=[(503, {}), (500, {})])
-        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed_many(["hello"])[0]
         np.testing.assert_array_equal(out, [0.6, 0.8])
         assert session.posts == 3
         assert 0.5 <= backoff_sleeps[0] < 0.75 and 1.0 <= backoff_sleeps[1] < 1.5
 
     def test_retry_after_longer_than_backoff_is_honoured(self, backoff_sleeps):
         session = _CannedSession(200, self.GOOD, before=[(429, {"Retry-After": "7"})])
-        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed("hello")
+        out = RemoteEmbedder(ENDPOINT, dim=2, session=session).embed_many(["hello"])[0]
         np.testing.assert_array_equal(out, [0.6, 0.8])
         assert session.posts == 2 and backoff_sleeps == [7.0]

@@ -14,7 +14,7 @@ import requests
 import ragrade.harness
 from conftest import make_corpus
 from ragrade.corpus import Label, Scheme, collapse_label
-from ragrade.embedding import Adapter, HashEmbedder
+from ragrade.embedding import Adapter, BaseEmbedder, HashEmbedder
 from ragrade.glm import (
     AuthError,
     GenParams,
@@ -37,9 +37,9 @@ from ragrade.harness import (
     seed_grader,
 )
 from ragrade.losses import LossKind
-from ragrade.pairs import Scope, Strategy
+from ragrade.pairs import Scope, Strategy, build_training_sets
 from ragrade.prompts import load_template
-from ragrade.training import TrainingError
+from ragrade.training import TrainingError, train_for_corpus
 from ragrade.vstore import RetrievalConfig, VectorStore, build_store, entry_from_response, top_k
 
 
@@ -320,6 +320,51 @@ class TestZeroQueryEmbedding:
             match=rf"^response '{answer.id}': query embedding norm 0\.0 is not finite and positive$",
         ):
             run_scenario(tiny_corpus, "ua", CFG, base=ZeroOn(CFG.embed_dim, answer.text))
+
+
+class BatchOnly(BaseEmbedder):
+    """An embedder that defines only embed_many, the interface's one method:
+    a HashEmbedder's rows under the same id."""
+
+    def __init__(self, dim):
+        self.hash = HashEmbedder(dim)
+        self.dim, self.embedder_id = dim, self.hash.embedder_id
+
+    def embed_many(self, texts, question_id=None):
+        return self.hash.embed_many(texts, question_id)
+
+
+class TestOneMethodEmbedder:
+    """Every caller of an embedder needs only embed_many, and gets the same
+    rows, stores, adapters and reports as from the HashEmbedder it wraps."""
+
+    def test_serves_every_caller(self, tiny_corpus):
+        only, plain = BatchOnly(CFG.embed_dim), HashEmbedder(CFG.embed_dim)
+        train, uq = list(tiny_corpus.split("train")), list(tiny_corpus.split("uq"))
+        store = build_store(train, only, tiny_corpus.questions, include_question=True)
+        expected = build_store(train, plain, tiny_corpus.questions, include_question=True)
+        assert store.vectors.tobytes() == expected.vectors.tobytes() and store.entries == expected.entries
+        for r in tiny_corpus.split("ua"):
+            for retrieval in (RetrievalConfig(k=3), RetrievalConfig(k=2, same_question_only=False)):
+                assert top_k(store, r.text, only, retrieval, r.question_id) == top_k(
+                    store, r.text, plain, retrieval, r.question_id
+                )
+        extended, expected = store.extended(uq, only), store.extended(uq, plain)
+        assert extended.vectors.tobytes() == expected.vectors.tobytes()
+        vec, entry = entry_from_response(uq[0], only)
+        expected_vec, expected_entry = entry_from_response(uq[0], plain)
+        assert vec.tobytes() == expected_vec.tobytes() and entry == expected_entry
+
+    def test_trains_and_grades(self, tiny_corpus):
+        sets = build_training_sets(tiny_corpus, Scheme.THREE_WAY, Strategy.GENERAL, Scope.QUESTION, seed=0)
+        trained = train_for_corpus(CFG.train_config(1), tiny_corpus, sets, BatchOnly(CFG.embed_dim))
+        expected = train_for_corpus(CFG.train_config(1), tiny_corpus, sets, HashEmbedder(CFG.embed_dim))
+        assert trained.keys() == expected.keys()
+        for q, result in trained.items():
+            assert result.adapter.weights.tobytes() == expected[q].adapter.weights.tobytes()
+        for config in (CFG, dataclasses.replace(CFG, train_adapter=True)):
+            report = run_scenario(tiny_corpus, "ua", config, base=BatchOnly(CFG.embed_dim))
+            assert report.as_dict() == run_scenario(tiny_corpus, "ua", config).as_dict()
 
 
 class TestRagFraction:

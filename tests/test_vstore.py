@@ -8,7 +8,14 @@ import requests
 
 from conftest import make_corpus
 from ragrade.corpus import Label, Response
-from ragrade.embedding import AdaptedEmbedder, Adapter, BaseEmbedder, HashEmbedder, RemoteEmbedder
+from ragrade.embedding import (
+    AdaptedEmbedder,
+    Adapter,
+    BaseEmbedder,
+    EmbeddingError,
+    HashEmbedder,
+    RemoteEmbedder,
+)
 from ragrade.glm import MAX_ATTEMPTS
 from ragrade.vstore import (
     Entry,
@@ -43,20 +50,27 @@ class FixedEmbedder(BaseEmbedder):
         self.dim = dim
         self.embedder_id = f"fixed-{dim}"
 
-    def embed(self, text):
-        return self.table[text]
+    def embed_many(self, texts, question_id=None):
+        return np.array([self.table[text] for text in texts])
 
 
 class OneAtATime(BaseEmbedder):
-    """Hash embeddings through BaseEmbedder's default embed_many, one embed per text."""
+    """Hash embeddings one embed per text, an error tagged with its text's row."""
 
     def __init__(self, dim):
         self.hash = HashEmbedder(dim)
         self.dim = dim
         self.embedder_id = f"one-at-a-time-{dim}"
 
-    def embed(self, text):
-        return self.hash.embed(text)
+    def embed_many(self, texts, question_id=None):
+        rows = []
+        for row, text in enumerate(texts):
+            try:
+                rows.append(self.hash.embed(text))
+            except EmbeddingError as exc:
+                exc.row = row
+                raise
+        return np.stack(rows)
 
 
 def brute_force_top_k(matrix, query, k):
@@ -154,7 +168,7 @@ class TestBuild:
             dim = 2
             embedder_id = "failing"
 
-            def embed(self, text):
+            def embed_many(self, texts, question_id=None):
                 raise RuntimeError("backend down")
 
         corpus = make_corpus({"q": "Q?"}, [("moved", "q", "uq", Label.CORRECT, "words")])
@@ -591,12 +605,12 @@ class TestLoadRejectsMalformedFiles:
 
 def reference_store(responses, embedder, questions=None, include_question=False,
                     include_reference=False) -> VectorStore:
-    """build_store one response at a time: embed_scoped, divide by the
-    vector's np.linalg.norm, cast to float32."""
+    """build_store one response at a time: a one-text embed_many, divide by
+    the vector's np.linalg.norm, cast to float32."""
     vectors = np.empty((len(responses), embedder.dim), np.float32)
     entries = []
     for i, r in enumerate(responses):
-        vec = embedder.embed_scoped(r.text, r.question_id)
+        vec = embedder.embed_many([r.text], r.question_id)[0]
         vectors[i] = vec / np.linalg.norm(vec)
         metadata = {
             "response_text": r.text,
