@@ -63,4 +63,4 @@ for c in result.history:
 print("\nbest retained score after each step:", [round(s, 2) for s in result.best_trace])
 print("the trace is non-decreasing: rank-and-retain can never lose the best candidate")
 print(f"\nwinning template starts: {result.best.template.body.splitlines()[0]!r}")
-print(f"backend evaluations actually run: {evaluator.evaluations} (cache absorbs repeats)")
+print(f"backend evaluations actually run: {len(evaluator.cache)} (cache absorbs repeats)")

@@ -126,10 +126,7 @@ def _mined_sets(args):
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {
         "corpus": args.corpus,
         "scheme": args.scheme,
@@ -175,19 +172,23 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("ingest", help="parse a dataset and write canonical JSONL")
+    p.set_defaults(handler=_cmd_ingest)
     p.add_argument("--xml-root", default=None, help="dataset XML directory")
     p.add_argument("--jsonl", default=None, help="existing JSONL corpus to re-validate and copy")
     p.add_argument("--name", default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("validate", help="report corpus invariant violations and label counts")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("--corpus", required=True)
 
     p = sub.add_parser("build-pairs", help="mine balanced pair and triplet training sets")
+    p.set_defaults(handler=_cmd_build_pairs)
     _add_mining_args(p)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("train-embedder", help="fit the embedding adapter(s)")
+    p.set_defaults(handler=_cmd_train_embedder)
     _add_mining_args(p)
     p.add_argument("--loss", default=TrainConfig.loss.value)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -197,6 +198,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("build-vdb", help="embed train responses into a vector store")
+    p.set_defaults(handler=_cmd_build_vdb)
     p.add_argument("--corpus", required=True)
     p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--adapter", default=None)
@@ -205,19 +207,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("score", help="grade one split and write predictions JSONL")
+    p.set_defaults(handler=_cmd_score)
     _add_common_eval_args(p)
     p.add_argument("--scenario", default="ua", choices=SCENARIOS)
 
     p = sub.add_parser("evaluate", help="evaluate a scenario and report metrics")
+    p.set_defaults(handler=_cmd_evaluate)
     _add_common_eval_args(p)
     p.add_argument("--scenario", default="ua", choices=SCENARIOS)
 
     p = sub.add_parser("rag-fraction", help="move a test fraction into the store, then grade the rest")
+    p.set_defaults(handler=_cmd_rag_fraction)
     _add_common_eval_args(p)
     p.add_argument("--scenario", default="uq", choices=SCENARIOS[1:])
     p.add_argument("--fraction", type=float, required=True)
 
     p = sub.add_parser("optimize-prompt", help="propose/evaluate/rank template candidates")
+    p.set_defaults(handler=_cmd_optimize_prompt)
     _add_common_eval_args(p)
     p.add_argument("--scenario", default="ua", choices=SCENARIOS)
     p.add_argument("--critic", required=True, help="critic backend selector (e.g. scripted:FILE)")
@@ -318,17 +324,19 @@ def _cmd_build_vdb(args) -> int:
     return EXIT_OK
 
 
-def _run_eval_like(args, corpus: Corpus, config: ExperimentConfig):
-    adapters = _load_adapters(args.adapter)
-    store = VectorStore.load(args.store) if args.store else None
-    return run_scenario(corpus, args.scenario, config, adapters=adapters, store=store)
+def _artifacts(args) -> dict:
+    """The adapters and store the --adapter and --store flags name, as keyword arguments."""
+    return {
+        "adapters": _load_adapters(args.adapter),
+        "store": VectorStore.load(args.store) if args.store else None,
+    }
 
 
 def _cmd_score(args) -> int:
     corpus = _load_corpus(args.corpus)
     config = _experiment_config(args)
     first_seed = dataclasses.replace(config, seeds=config.seeds[:1])
-    run = _run_eval_like(args, corpus, first_seed).per_run[0]
+    run = run_scenario(corpus, args.scenario, first_seed, **_artifacts(args)).per_run[0]
     gold = {r.id: collapse_label(r.label, config.scheme) for r in corpus.split(args.scenario)}
     lines = [
         json.dumps({"id": rid, "gold": gold[rid], "predicted": p}, ensure_ascii=False)
@@ -344,7 +352,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    report = _run_eval_like(args, _load_corpus(args.corpus), _experiment_config(args))
+    corpus, config = _load_corpus(args.corpus), _experiment_config(args)
+    report = run_scenario(corpus, args.scenario, config, **_artifacts(args))
     if args.out:
         report.write_json(args.out)
     print(format_report_table([report]))
@@ -353,7 +362,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rag_fraction(args) -> int:
-    report = _run_eval_like(args, _load_corpus(args.corpus), _experiment_config(args))
+    corpus, config = _load_corpus(args.corpus), _experiment_config(args)
+    report = run_scenario(corpus, args.scenario, config, **_artifacts(args))
     if args.out:
         report.write_json(args.out)
     print(format_report_table([report]))
@@ -366,16 +376,8 @@ def _cmd_optimize_prompt(args) -> int:
     if config.rag_fraction is not None:
         raise OptimizerError("optimize-prompt does not run rag-fraction experiments; unset rag_fraction")
     corpus = _load_corpus(args.corpus)
-    store = VectorStore.load(args.store) if args.store else None
-    grader = seed_grader(
-        corpus,
-        args.scenario,
-        config,
-        config.seeds[0],
-        make_backend(config.backend),
-        adapters=_load_adapters(args.adapter),
-        store=store,
-    )
+    backend = make_backend(config.backend)
+    grader = seed_grader(corpus, args.scenario, config, config.seeds[0], backend, **_artifacts(args))
     evaluator = PromptEvaluator(list(corpus.split(args.scenario)), grader, metric=args.metric)
     opt_config = OptimizerConfig(steps=args.steps, beam=args.candidates)
     result = optimize(opt_config, grader.template, evaluator, make_backend(args.critic))
@@ -385,19 +387,6 @@ def _cmd_optimize_prompt(args) -> int:
     result.write_history_jsonl(out / "history.jsonl", args.metric, evaluator.dev_set_id)
     print(f"best score {result.best.score:.4f} after {args.steps} steps; trace {result.best_trace}")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "validate": _cmd_validate,
-    "build-pairs": _cmd_build_pairs,
-    "train-embedder": _cmd_train_embedder,
-    "build-vdb": _cmd_build_vdb,
-    "score": _cmd_score,
-    "evaluate": _cmd_evaluate,
-    "rag-fraction": _cmd_rag_fraction,
-    "optimize-prompt": _cmd_optimize_prompt,
-}
 
 
 def cli(argv: list[str] | None = None) -> int:
@@ -412,7 +401,7 @@ def cli(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _UsageExit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Scheme, _normalize_label_text
+from .prompts import first_example_judgment
 
 ENV_ENDPOINT = "RAGRADE_GLM_ENDPOINT"
 ENV_API_KEY = "RAGRADE_GLM_API_KEY"
@@ -79,9 +80,6 @@ class GlmBackend:
         raise NotImplementedError
 
 
-_EXAMPLE1_RE = re.compile(r"Example 1:\nAnswer: .*?\nJudgment: (.*?)\n", re.DOTALL)
-
-
 class MockBackend(GlmBackend):
     """Deterministic grader: echo the first example's judgment.
 
@@ -93,8 +91,7 @@ class MockBackend(GlmBackend):
     """
 
     def complete(self, prompt: str, params: GenParams) -> str:
-        match = _EXAMPLE1_RE.search(prompt)
-        label = match.group(1) if match else "incorrect"
+        label = first_example_judgment(prompt) or "incorrect"
         if _DSPY_MARKER in prompt:
             return f"{_DSPY_MARKER} {label}"
         return f"<judgment>{label}</judgment>"
@@ -296,6 +293,11 @@ def _model_sent(model_id: str | None) -> str:
     return model_id or os.environ.get(ENV_MODEL, "default")
 
 
+def _replay_key(digest: str, params: GenParams) -> tuple[str, str, float, int]:
+    """A recorded completion's key: its prompt's hash and the settings RemoteBackend sent."""
+    return (digest, _model_sent(params.model_id), params.temperature, params.max_tokens)
+
+
 class ReplayBackend(GlmBackend):
     """Serves completions recorded by RemoteBackend.
 
@@ -321,12 +323,8 @@ class ReplayBackend(GlmBackend):
                     completion, digest = record["completion"], record["prompt_sha256"]
                     if not (isinstance(completion, str) and isinstance(digest, str)):
                         raise TypeError("prompt_sha256 and completion must be strings")
-                    key = (
-                        digest,
-                        _model_sent(record.get("model")),
-                        record.get("temperature", GenParams.temperature),
-                        record.get("max_tokens", GenParams.max_tokens),
-                    )
+                    settings = {k: record[k] for k in ("temperature", "max_tokens") if k in record}
+                    key = _replay_key(digest, GenParams(model_id=record.get("model"), **settings))
                     first = line_of.setdefault(key, lineno)  # TypeError if a field is unhashable
                 except (ValueError, KeyError, TypeError) as exc:
                     raise GlmError(f"{log_path}:{lineno}: bad replay record: {exc!r}") from None
@@ -337,12 +335,7 @@ class ReplayBackend(GlmBackend):
                     )
 
     def complete(self, prompt: str, params: GenParams) -> str:
-        key = (
-            prompt_digest(prompt),
-            _model_sent(params.model_id),
-            params.temperature,
-            params.max_tokens,
-        )
+        key = _replay_key(prompt_digest(prompt), params)
         if key not in self.completions:
             raise GlmError(
                 f"no recorded completion for prompt hash {key[0][:12]}... "

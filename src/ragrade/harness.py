@@ -44,7 +44,7 @@ from .prompts import (
     render,
     scheme_task,
 )
-from .training import TrainConfig, train_for_corpus
+from .training import TrainConfig, json_fields, train_for_corpus
 from .vstore import RetrievalConfig, StoreError, VectorStore, build_store, top_k
 from .vstore import entry_from_response  # noqa: F401  unused here; perfbench's tracer wraps it by name
 
@@ -117,13 +117,7 @@ class ExperimentConfig:
         )
 
     def manifest(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["scheme"] = self.scheme.value
-        out["strategy"] = self.strategy.value
-        out["scope"] = self.scope.value
-        out["loss"] = self.loss.value
-        out["seeds"] = list(self.seeds)
-        return out
+        return json_fields(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -151,8 +145,8 @@ class ExperimentConfig:
 
 
 def _from_json(kind, value):
-    """A JSON value as a config field of type kind: an enum parses a string,
-    seeds are a list of integers, and a float field also takes an integer."""
+    """A JSON value as a config field of type kind, as json_fields writes it: an
+    enum parses a string, seeds are a list of integers, a float also takes an int."""
     if kind == tuple[int, ...]:
         return tuple(_from_json(int, v) for v in _from_json(list, value))
     parse = getattr(kind, "parse", None)
@@ -197,7 +191,7 @@ class Grader:
     fallback_label: str | None = None
 
 
-def grade_responses(runs, backend: GlmBackend) -> list[GradingOutcome]:
+def grade_responses(runs) -> list[GradingOutcome]:
     """Grade each (grader, responses) of runs through the full pipeline against gold labels.
 
     Templates with an examples slot retrieve top-k from the store first;
@@ -206,16 +200,16 @@ def grade_responses(runs, backend: GlmBackend) -> list[GradingOutcome]:
     retries, fall back to fallback_label (scheme default when None) and
     are counted apart.  Any other backend error ends the grading.
 
-    The runs are one stream over one pool, which backend sizes before the
-    first grader is drawn: runs may be a generator that builds each
-    grader when the stream reaches it.  Retrieval and rendering run on
-    the calling thread; up to backend.concurrency prompts complete and
-    parse at once.  Verdicts are taken in (run, response) order, so the
-    outcomes equal a one-at-a-time run's, and the first backend error in
-    that order is raised; a retrieval or render error is raised when it
-    occurs, a failed retrieval as a HarnessError naming the response.
-    One run is grade_responses([(grader, responses)], grader.backend)[0].
-    perfbench's tracer wraps this name as its harness.grade layer.
+    The runs are one stream over one pool, which the first grader's
+    backend sizes, and which every later grader shares: runs may be a
+    generator that builds each grader when the stream reaches it.
+    Retrieval and rendering run on the calling thread; up to
+    backend.concurrency prompts complete and parse at once.  Verdicts are
+    taken in (run, response) order, so the outcomes equal a one-at-a-time
+    run's, and the first backend error in that order is raised; a
+    retrieval or render error is raised when it occurs, a failed
+    retrieval as a HarnessError naming the response.  One run is
+    grade_responses([(grader, responses)])[0]; perfbench wraps this name.
     """
     outcomes = []
 
@@ -244,8 +238,10 @@ def grade_responses(runs, backend: GlmBackend) -> list[GradingOutcome]:
         except (RetryExhausted, ParseFailure) as exc:
             return outcome, fallback_label or default_fallback(scheme), type(exc)
 
-    def calls():
-        for g, responses in runs:
+    def calls(run):
+        while run is not None:
+            g, responses = run
+            del run
             if g.template.scenario == "with_examples" and (g.store is None or g.embedder is None):
                 raise HarnessError("with_examples grading needs a store and an embedder")
             outcome = GradingOutcome(predictions=[], gold=[])
@@ -255,9 +251,14 @@ def grade_responses(runs, backend: GlmBackend) -> list[GradingOutcome]:
                 outcome.gold.append(collapse_label(r.label, g.scheme))
                 yield partial(judge, *state, prompt_for(g, r))
             del g  # queued tasks never hold the grader: free it before the next run is drawn
+            run = next(runs, None)
 
-    workers = getattr(backend, "concurrency", 1)
-    verdicts = (call() for call in calls()) if workers <= 1 else _in_order(calls(), workers)
+    runs = iter(runs)
+    first = next(runs, None)  # set up before the pool exists, which starts no thread before a submit
+    workers = getattr(first[0].backend, "concurrency", 1) if first else 1
+    stream = calls(first)
+    del first  # from here only the stream holds the first run, which it frees as the others
+    verdicts = (call() for call in stream) if workers <= 1 else _in_order(stream, workers)
     for outcome, label, failure in verdicts:
         outcome.backend_failures += failure is RetryExhausted
         outcome.parse_failures += failure is ParseFailure
@@ -488,7 +489,7 @@ def run_scenario(
             yield grader, graded
             del grader  # free this seed's store before the next seed builds one
 
-    outcomes = grade_responses(runs(), backend)
+    outcomes = grade_responses(runs())
     return _mean_reports(scenario, config, corpus, template, extras, outcomes, **manifest_extra)
 
 

@@ -129,16 +129,13 @@ class PromptEvaluator:
             h.update(f"{r.id}\x00{r.text}\x00{r.label.value}\x00".encode("utf-8"))
         self.dev_set_id = h.hexdigest()
         self.cache: dict[str, float] = {}
-        self.evaluations = 0  # backend-hitting evaluations, for tests
 
     def score(self, template: PromptTemplate) -> float:
         if template.sha256 in self.cache:
             return self.cache[template.sha256]
-        runs = [(replace(self.grader, template=template), self.dev_set)]
-        outcome = grade_responses(runs, self.grader.backend)[0]
+        outcome = grade_responses([(replace(self.grader, template=template), self.dev_set)])[0]
         value = float(METRICS[self.metric](outcome.confusion(self.grader.scheme)))
         self.cache[template.sha256] = value
-        self.evaluations += 1
         return value
 
 

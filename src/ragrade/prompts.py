@@ -118,6 +118,15 @@ def format_examples(retrieved: list[tuple], scheme: Scheme) -> str:
     return "\n".join(blocks)
 
 
+_EXAMPLE1_RE = re.compile(r"Example 1:\nAnswer: .*?\nJudgment: (.*?)\n", re.DOTALL)
+
+
+def first_example_judgment(prompt: str) -> str | None:
+    """The judgment of the first block format_examples wrote into prompt, if any."""
+    match = _EXAMPLE1_RE.search(prompt)
+    return match.group(1) if match else None
+
+
 def render(template: PromptTemplate, bindings: PromptBindings) -> str:
     """Substitute every placeholder exactly once, single pass.
 

@@ -28,6 +28,7 @@ span bucket, so padding never doubles a question's span.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 from dataclasses import dataclass, field
 
@@ -78,7 +79,15 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
     def manifest(self) -> dict:
-        return {**dataclasses.asdict(self), "loss": self.loss.value}
+        return json_fields(self)
+
+
+def json_fields(config) -> dict:
+    """A config dataclass's fields as JSON values: an enum by its value, a tuple as a list."""
+    return {
+        k: v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v
+        for k, v in dataclasses.asdict(config).items()
+    }
 
 
 @dataclass

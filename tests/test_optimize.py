@@ -196,7 +196,6 @@ class TestEvaluator:
         second = evaluator.score(DRAFT)
         assert first == second == pytest.approx(0.7)
         assert backend.calls == calls_after_first
-        assert evaluator.evaluations == 1
 
     def test_six_item_dev_set_two_thirds(self):
         gold6 = [Label.CORRECT] * 3 + [Label.CONTRADICTORY] * 3
