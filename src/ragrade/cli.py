@@ -272,13 +272,6 @@ def _cmd_build_pairs(args) -> int:
 
 
 def _cmd_train_embedder(args) -> int:
-    corpus, sets = _mined_sets(args)
-    # a question id must be able to name an adapter file, as it does in
-    # question scope, where "global" names the global adapter instead
-    reserved = ("", "global") if sets.scope is Scope.QUESTION else ("",)
-    for qid in sets.pair_sets:
-        if qid in reserved or qid.startswith(".") or any(c and c in qid for c in ("/", "\0", os.altsep)):
-            raise ValueError(f"question id {qid!r} cannot name an adapter file")
     config = TrainConfig(
         loss=LossKind.parse(args.loss),
         epochs=args.epochs,
@@ -286,6 +279,13 @@ def _cmd_train_embedder(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    corpus, sets = _mined_sets(args)
+    # a question id must be able to name an adapter file, as it does in
+    # question scope, where "global" names the global adapter instead
+    reserved = ("", "global") if sets.scope is Scope.QUESTION else ("",)
+    for qid in sets.pair_sets:
+        if qid in reserved or qid.startswith(".") or any(c and c in qid for c in ("/", "\0", os.altsep)):
+            raise ValueError(f"question id {qid!r} cannot name an adapter file")
     base = HashEmbedder(args.dim)
     results = train_for_corpus(config, corpus, sets, base)
     summary = {

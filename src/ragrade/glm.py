@@ -37,8 +37,8 @@ class GenParams:
     model_id: str | None = None  # None: $RAGRADE_GLM_MODEL, else "default"
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not self.temperature >= 0:
+            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ class ScriptedBackend(GlmBackend):
     """Plays back a fixed list of completions in order (then repeats the last)."""
 
     def __init__(self, completions: list[str]):
-        if not completions:
-            raise ValueError("scripted backend needs at least one completion")
         self.completions = list(completions)
+        if not self.completions or not all(isinstance(c, str) for c in self.completions):
+            raise ValueError("scripted backend needs a non-empty list of string completions")
         self.calls = 0
 
     def complete(self, prompt: str, params: GenParams) -> str:
@@ -177,8 +177,10 @@ def post_json(endpoint, payload, timeout, api_key=None, session=None, limiter=No
     after an exponential backoff from BACKOFF_BASE scaled by a random
     factor in [1, 1.5) so that concurrent callers do not retry in
     lockstep, or after a longer Retry-After sent with a 429 or 503;
-    401/403 raise AuthError immediately and other non-retryable statuses
-    raise NonRetryableError.  A limiter, if given, paces each attempt.
+    401/403 raise AuthError immediately, and other non-retryable statuses
+    and a request that cannot be sent (a malformed endpoint or header, a
+    payload JSON cannot encode) raise NonRetryableError.  A limiter, if
+    given, paces each attempt.
     """
     import requests
 
@@ -197,6 +199,10 @@ def post_json(endpoint, payload, timeout, api_key=None, session=None, limiter=No
             with limiter or contextlib.nullcontext():
                 resp = post(endpoint, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
+            # requests raises these before sending: the URL, a header or the
+            # payload cannot be sent, and another attempt would fail alike
+            if isinstance(exc, (ValueError, requests.exceptions.InvalidJSONError)):
+                raise NonRetryableError(f"request to {endpoint} not sent: {exc}") from None
             last_failure, retry_after = f"transport error: {exc}", 0.0
             continue
         if resp.status_code in (401, 403):
@@ -394,6 +400,12 @@ def make_backend(spec: str) -> GlmBackend:
     if spec.startswith("replay:"):
         return ReplayBackend(spec.split(":", 1)[1])
     if spec.startswith("scripted:"):
-        completions = json.loads(Path(spec.split(":", 1)[1]).read_text(encoding="utf-8"))
-        return ScriptedBackend(completions)
+        path = spec.split(":", 1)[1]
+        try:
+            completions = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(completions, list):
+                raise ValueError(f"expected a JSON array, got {type(completions).__name__}")
+            return ScriptedBackend(completions)
+        except ValueError as exc:  # json's and UTF-8's decode errors are ValueErrors
+            raise GlmError(f"{path}: {exc}") from None
     raise ValueError(f"unknown backend selector {spec!r}")

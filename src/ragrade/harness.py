@@ -92,6 +92,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.rag_fraction is not None and not (0.0 < self.rag_fraction < 1.0):
             raise ValueError("rag_fraction must lie strictly between 0 and 1")
         if self.fallback_label is not None and self.fallback_label not in self.scheme.labels():

@@ -75,8 +75,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def manifest(self) -> dict:
         return json_fields(self)

@@ -50,10 +50,12 @@ class TestUsage:
         assert cli(["validate"]) == EXIT_USAGE
 
 
-def run_module(*args, cwd):
-    """`python -m ragrade.cli ARGS` in a child process, importing this checkout's package."""
+def run_module(*args, cwd, **env_vars):
+    """`python -m ragrade.cli ARGS` in a child process, importing this checkout's package,
+    with env_vars added to its environment."""
     src = str(Path(ragrade.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, **env_vars}
     return subprocess.run(
         [sys.executable, "-m", "ragrade.cli", *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
@@ -104,6 +106,24 @@ class TestModuleEntry:
         assert "non-finite" in lines[0] and "after epoch 0, batch 0" in lines[0]
 
 
+    def test_runs_do_not_depend_on_the_hash_seed(self, corpus_arg, tmp_path):
+        """evaluate --train's report and train-embedder's files are the same bytes in
+        processes whose str hashes differ."""
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash-seed-{hash_seed}"
+            out.mkdir()
+            for argv in (
+                ["evaluate", "--train", "--dim", "32", "--out", str(out / "report.json")],
+                ["train-embedder", "--dim", "32", "--out-dir", str(out / "question")],
+                ["train-embedder", "--dim", "32", "--scope", "global", "--out-dir", str(out / "global")],
+            ):
+                done = run_module(*argv, "--corpus", corpus_arg, cwd=tmp_path, PYTHONHASHSEED=hash_seed)
+                assert done.returncode == EXIT_OK, done.stderr
+            outputs.append({str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*.*"))})
+        assert len(outputs[0]) == 6  # the report, 2 + 1 question-scope files and 1 + 1 global ones
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("batch_size", ["0", "-3"])
     def test_batch_size_below_one_exits_runtime_and_writes_nothing(self, corpus_arg, tmp_path, batch_size):
         out = tmp_path / "adapters"
@@ -114,6 +134,14 @@ class TestModuleEntry:
         )
         assert done.returncode == EXIT_RUNTIME
         assert done.stderr == f"error: batch_size must be >= 1, got {batch_size}\n"
+        assert not out.exists()
+
+    def test_negative_seed_is_refused_before_mining(self, corpus_arg, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ragrade.cli, "build_training_sets", None)  # mining would call it
+        out = tmp_path / "adapters"
+        argv = ["train-embedder", "--corpus", corpus_arg, "--scope", "global", "--seed=-1", "--out-dir", str(out)]
+        assert cli(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
@@ -501,6 +529,30 @@ class TestEvaluate:
     def test_seeds_with_no_seed_are_refused(self, corpus_arg, capsys):
         assert cli(["evaluate", "--corpus", corpus_arg, "--seeds", ","]) == EXIT_RUNTIME
         assert capsys.readouterr().err == "error: at least one seed is required\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "rag-fraction"])
+    def test_negative_seed_is_refused_before_set_up(self, corpus_arg, capsys, monkeypatch, command):
+        monkeypatch.setattr(ragrade.harness, "build_store", None)  # set-up would call it
+        extra = ["--fraction", "0.5"] if command == "rag-fraction" else []
+        assert cli([command, "--corpus", corpus_arg, "--seeds=-1", *extra]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: seeds must be non-negative, got -1\n"
+
+    def test_unsendable_remote_endpoint_exits_2_naming_it(self, corpus_arg, capsys, monkeypatch):
+        monkeypatch.setenv("RAGRADE_GLM_ENDPOINT", "localhost:9/complete")
+        argv = ["evaluate", "--corpus", corpus_arg, "--backend", "remote", "--dim", "32", "--seeds", "1"]
+        assert cli(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: request to localhost:9/complete not sent: ")
+
+    @pytest.mark.parametrize(
+        "content", ["5", "[1, 2]", '{"a": 1}', "[]", "not json"],
+        ids=["number", "numbers", "object", "empty", "not-json"],
+    )
+    def test_malformed_scripted_file_exits_2_naming_it(self, corpus_arg, tmp_path, capsys, content):
+        path = tmp_path / "script.json"
+        path.write_text(content)
+        argv = ["evaluate", "--corpus", corpus_arg, "--backend", f"scripted:{path}", "--dim", "32"]
+        assert cli(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_scheme_5way(self, corpus_arg):
         assert (

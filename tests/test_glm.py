@@ -21,6 +21,7 @@ from ragrade.glm import (
     ScriptedBackend,
     make_backend,
     parse_judgment,
+    post_json,
     prompt_digest,
 )
 
@@ -286,6 +287,31 @@ class TestRemoteBackend:
             replay.complete("never seen", PARAMS)
 
 
+class TestUnsendableRequest:
+    """A request that requests refuses to build is never sent, so it is not retried."""
+
+    @pytest.mark.parametrize(
+        "endpoint, api_key, payload",
+        [
+            ("localhost:9/complete", None, {"prompt": "p"}),
+            ("localhost/complete", None, {"prompt": "p"}),
+            ("http://", None, {"prompt": "p"}),
+            ("http://127.0.0.1:9/complete", "key\nInjected: 1", {"prompt": "p"}),
+            ("http://127.0.0.1:9/complete", None, {"prompt": "p", "temperature": float("nan")}),
+        ],
+        ids=["invalid-schema", "missing-schema", "invalid-url", "invalid-header", "invalid-json"],
+    )
+    def test_fails_at_once_naming_the_endpoint(self, endpoint, api_key, payload):
+        sleeps = []
+        with pytest.raises(NonRetryableError, match=re.escape(f"request to {endpoint} not sent: ")):
+            post_json(endpoint, payload, 1.0, api_key=api_key, sleep=sleeps.append)
+        assert sleeps == []
+
+    def test_nan_temperature_refused(self):
+        with pytest.raises(ValueError, match="^temperature must be non-negative, got nan$"):
+            GenParams(temperature=float("nan"))
+
+
 class TestReplayBackend:
     """Replay serves a completion only for the prompt, model and temperature it was made with."""
 
@@ -367,9 +393,10 @@ class TestReplayBackend:
             b'{"prompt_sha256": "ab", "completion": 3}',
             b'{"prompt_sha256": "ab", "completion": "c", "temperature": [0]}',
             b'{"prompt_sha256": "ab", "completion": "c\xff"}',
+            b'{"prompt_sha256": "ab", "completion": "c", "temperature": -1}',
         ],
         ids=["not-json", "not-object", "no-digest", "no-completion", "number-completion",
-             "list-temperature", "not-utf8"],
+             "list-temperature", "not-utf8", "negative-temperature"],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, line):
         log = tmp_path / "log.jsonl"
@@ -435,3 +462,20 @@ class TestBackendSelector:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("quantum")
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ("5", "expected a JSON array, got int"),
+            ('{"a": 1}', "expected a JSON array, got dict"),
+            ("[]", "a non-empty list of string completions"),
+            ("[1, 2]", "a non-empty list of string completions"),
+            ("not json", "Expecting value"),
+        ],
+        ids=["number", "object", "empty", "numbers", "not-json"],
+    )
+    def test_scripted_file_must_hold_strings(self, tmp_path, content, problem):
+        path = tmp_path / "script.json"
+        path.write_text(content)
+        with pytest.raises(GlmError, match=re.escape(f"{path}: ") + ".*" + re.escape(problem)):
+            make_backend(f"scripted:{path}")

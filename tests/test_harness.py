@@ -988,6 +988,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="rag_fraction"):
             ExperimentConfig(rag_fraction=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seeds must be non-negative, got -1$"):
+            ExperimentConfig(seeds=(1, -1))
+
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="^temperature must be non-negative, got nan$"):
+            ExperimentConfig.from_dict({"temperature": float("nan")})
+
 
 class TestReportTable:
     def test_table_layout(self, tiny_corpus):

@@ -326,6 +326,7 @@ class TestTrainAdapter:
             ("scale", float("nan"), "positive and finite"),
             ("scale", float("inf"), "positive and finite"),
             ("epochs", -1, "non-negative"),
+            ("seed", -1, "non-negative"),
         ],
     )
     def test_out_of_range_field_rejected_by_name_and_value(self, field, value, rule):
