@@ -547,7 +547,8 @@ class TestEvaluate:
         "content", ["5", "[1, 2]", '{"a": 1}', "[]", "not json"],
         ids=["number", "numbers", "object", "empty", "not-json"],
     )
-    def test_malformed_scripted_file_exits_2_naming_it(self, corpus_arg, tmp_path, capsys, content):
+    def test_malformed_scripted_file_exits_2_naming_it(self, corpus_arg, tmp_path, capsys, monkeypatch, content):
+        monkeypatch.setattr(ragrade.harness, "grade_responses", None)  # grading would call it
         path = tmp_path / "script.json"
         path.write_text(content)
         argv = ["evaluate", "--corpus", corpus_arg, "--backend", f"scripted:{path}", "--dim", "32"]
